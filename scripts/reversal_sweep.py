@@ -10,7 +10,7 @@ import argparse
 import itertools
 from collections import Counter
 
-from sct import decide_periodic_descent, periodic_descent_params
+from sct import decide_periodic_descent
 from sct.colorings import EPColoring, spp_witness
 from sct.reduction import IndexSet, build_reversal_multipath, index_sets
 
@@ -41,7 +41,7 @@ def main():
         witness = decide_periodic_descent(run.lasso, run.graphs)
         assert witness is not None
         target = sets.index(IndexSet.of(spp_witness(c)))
-        params = periodic_descent_params(run.lasso, run.graphs)
+        params = witness.params
         assert target in params, (c, params)
         extras += len(params) - 1
         by_param[sets[target].param_name()] += 1

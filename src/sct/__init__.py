@@ -22,7 +22,6 @@ from .graphs import (
     idempotent_power,
     induced_pair_coloring,
     is_idempotent,
-    periodic_descent_params,
 )
 from .interp import (
     Fuel,

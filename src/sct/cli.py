@@ -55,28 +55,37 @@ def _emit(data: dict, out: str | None = None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
+def _verdict_report(gs) -> dict:
+    """The criterion's verdict on gs as flat JSON, followed by closure_size."""
+    if not gs.graphs:
+        return {"sct": True, "closure_size": 0}
+    cl = closure(gs)
+    report = jsonio.verdict_to_json(check_sct_criterion(gs, cl), gs)
+    report["closure_size"] = len(cl)
+    return report
+
+
+def _emit_checked(out: dict, agrees: bool, code: int) -> int:
+    """Emit out, then return code, or 2 if the oracle and the criterion disagree."""
+    _emit(out)
+    if not agrees:
+        print("error: oracle and criterion disagree", file=sys.stderr)
+        return 2
+    return code
+
+
 def _cmd_analyze(args) -> int:
     program = _read_program(args.file)
-    description = extract_description(program, Mode(args.mode))
-    gs = description.to_graph_set()
-    report: dict = {"mode": args.mode}
-    if not gs.graphs:
-        report.update({"sct": True, "closure_size": 0})
-        report["description"] = jsonio.graph_set_to_json(gs)
-        _emit(report)
-        return 0
-    cl = closure(gs)
-    verdict = check_sct_criterion(gs, cl)
-    report.update(jsonio.verdict_to_json(verdict, gs))
-    report["closure_size"] = len(cl)
+    gs = extract_description(program, Mode(args.mode)).to_graph_set()
+    report = {"mode": args.mode, **_verdict_report(gs)}
     report["description"] = jsonio.graph_set_to_json(gs)
-    if not verdict.sct:
+    if not report["sct"]:
         report["counterexample"] = {
             "failing_idempotent": report.pop("failing_idempotent"),
             "lasso": report.pop("lasso"),
         }
     _emit(report)
-    return 0 if verdict.sct else 1
+    return 0 if report["sct"] else 1
 
 
 def _cmd_extract(args) -> int:
@@ -102,12 +111,6 @@ def _cmd_synth(args) -> int:
 
 def _cmd_run(args) -> int:
     program = _read_program(args.file)
-    try:
-        sig = program.sig_named(args.fun)
-    except KeyError:
-        raise _InputError(f"no function named {args.fun!r}") from None
-    if len(args.args) != sig.arity:
-        raise _InputError(f"{args.fun} takes {sig.arity} argument(s)")
     report = {"function": args.fun, "args": args.args, "fuel": args.fuel}
     try:
         value = eval_program(program, args.fun, tuple(args.args), args.fuel)
@@ -124,38 +127,24 @@ def _cmd_oracle(args) -> int:
     gs = _read_graphs(args.file)
     report = bounded_lasso_oracle(gs, args.max_word_len)
     out = jsonio.oracle_report_to_json(report, gs)
+    agrees = True
     if args.compare:
-        verdict = check_sct_criterion(gs)
-        agrees = verdict.sct == (report.counterexample is None)
+        agrees = check_sct_criterion(gs).sct == (report.counterexample is None)
         out["criterion_agrees"] = agrees
-        if not agrees:
-            _emit(out)
-            print("error: oracle and criterion disagree", file=sys.stderr)
-            return 2
-    _emit(out)
-    return 1 if report.refuted else 0
+    return _emit_checked(out, agrees, 1 if report.refuted else 0)
 
 
 def _cmd_graphs_check(args) -> int:
     gs = _read_graphs(args.file)
-    if not gs.graphs:
-        _emit({"sct": True, "closure_size": 0})
-        return 0
-    cl = closure(gs)
-    verdict = check_sct_criterion(gs, cl)
-    out = jsonio.verdict_to_json(verdict, gs)
-    out["closure_size"] = len(cl)
-    if args.oracle is not None:
+    out = _verdict_report(gs)
+    agrees = True
+    # an empty set is terminating without a search, so the oracle is skipped
+    if args.oracle is not None and gs.graphs:
         report = bounded_lasso_oracle(gs, args.oracle)
-        agrees = verdict.sct == (report.counterexample is None)
+        agrees = out["sct"] == (report.counterexample is None)
         out["oracle"] = jsonio.oracle_report_to_json(report, gs)
         out["oracle"]["agrees"] = agrees
-        if not agrees:
-            _emit(out)
-            print("error: oracle and criterion disagree", file=sys.stderr)
-            return 2
-    _emit(out)
-    return 0 if verdict.sct else 1
+    return _emit_checked(out, agrees, 0 if out["sct"] else 1)
 
 
 def _parse_colors(text: str, what: str) -> tuple[int, ...]:
@@ -191,7 +180,7 @@ def _cmd_principles(args) -> int:
                     "distinct_graphs": len(run.graphs),
                 },
                 "descent": {
-                    "param": sets[witness.param].param_name(),
+                    "param": sets[witness.params[0]].param_name(),
                     "start": witness.start,
                     "block_len": witness.block_len,
                 },
@@ -315,10 +304,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (_InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -239,12 +239,6 @@ class GraphSet:
         except KeyError:
             raise KeyError(f"no graph named {name!r}") from None
 
-    def sig_named(self, name: str) -> FunSig:
-        for sig in self.sigs:
-            if sig.name == name:
-                return sig
-        raise KeyError(f"no function named {name!r}")
-
     def word_names(self, word: Iterable[int]) -> list[str]:
         return [self.names[i] for i in word]
 
@@ -324,9 +318,13 @@ class LassoMultipath:
 
 @dataclass(frozen=True)
 class DescentWitness:
-    """A parameter that decreases strictly once per block of periods, forever."""
+    """The parameters that decrease strictly once per block of periods, forever.
 
-    param: int
+    ``params`` lists, ascending, every parameter with a strict self-arc in the
+    idempotent power of the period; it is never empty.
+    """
+
+    params: tuple[int, ...]
     start: int
     block_len: int
 
@@ -371,15 +369,7 @@ def decide_periodic_descent(
     strict = stable.strict_self_params()
     if not strict:
         return None
-    return DescentWitness(param=strict[0], start=len(lasso.prefix), block_len=exponent)
-
-
-def periodic_descent_params(lasso: LassoMultipath, gs: GraphSet) -> tuple[int, ...]:
-    """All parameters that admit a periodic descent in the given lasso."""
-    _check_lasso(lasso, gs)
-    value = compose_all([gs.graphs[i] for i in lasso.period])
-    stable, _ = idempotent_power(value)
-    return stable.strict_self_params()
+    return DescentWitness(params=strict, start=len(lasso.prefix), block_len=exponent)
 
 
 def check_sct_criterion(gs: GraphSet, cl: Optional[Closure] = None) -> Verdict:
@@ -393,7 +383,8 @@ def check_sct_criterion(gs: GraphSet, cl: Optional[Closure] = None) -> Verdict:
         if g.source == g.target and is_idempotent(g) and not g.has_strict_self_arc():
             lasso = LassoMultipath((), dg.witness)
             # a failing idempotent must also be descent-free as a lasso
-            assert decide_periodic_descent(lasso, gs) is None
+            if decide_periodic_descent(lasso, gs) is not None:
+                raise AssertionError("failing idempotent has a descent as a lasso")
             return Verdict(False, failing_idempotent=dg, lasso=lasso)
     return Verdict(True)
 

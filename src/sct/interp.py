@@ -19,8 +19,6 @@ from .syntax import (
     CondExpr,
     Const,
     EqConst,
-    EqOne,
-    EqZero,
     Expr,
     If,
     Le,
@@ -108,10 +106,6 @@ class _Evaluator:
 
     def boolean(self, b: BoolExpr, env) -> bool:
         match b:
-            case EqZero(p):
-                return env[p] == 0
-            case EqOne(p):
-                return env[p] == 1
             case EqConst(p, v):
                 return env[p] == v
             case Lt(l, r):

@@ -20,8 +20,6 @@ from .syntax import (
     CondExpr,
     Const,
     EqConst,
-    EqOne,
-    EqZero,
     Expr,
     FunDef,
     If,
@@ -210,7 +208,7 @@ class _Parser:
         while self.peek().kind == ",":
             self.advance()
             params.append(self.expect("ident", "a parameter name").text)
-        close = self.expect(")", "')'")
+        self.expect(")", "')'")
         if len(set(params)) != len(params):
             raise ValidationError(
                 [Diagnostic(f"duplicate parameter in {header.text!r}", header.line, header.col)]
@@ -218,7 +216,6 @@ class _Parser:
         self.expect("=", "'='")
         self.params = tuple(params)
         body = self.cond_expr()
-        del close
         return FunDef(FunSig(header.text, tuple(params)), body), header
 
     def cond_expr(self) -> CondExpr:
@@ -265,12 +262,7 @@ class _Parser:
         if op.kind == "=":
             self.advance()
             lit = self.expect("number", "a literal")
-            value = int(lit.text)
-            if value == 0:
-                return EqZero(name)
-            if value == 1:
-                return EqOne(name)
-            return EqConst(name, value)
+            return EqConst(name, int(lit.text))
         if op.kind in ("<", "<="):
             self.advance()
             right_tok = self.peek()
@@ -375,7 +367,8 @@ def enumerate_call_sites(program: Program) -> list[CallSite]:
 
     for d in program.defs:
         walk_cond(d.body, d.sig, GuardContext())
-    assert [s.id for s in sites] == list(range(len(sites)))
+    if [s.id for s in sites] != list(range(len(sites))):
+        raise ValueError("call sites are not labeled in document order (see label_program)")
     return sites
 
 
@@ -383,13 +376,11 @@ def implies_positive(ctx: GuardContext, param: str) -> bool:
     """Whether the guard facts force param > 0.
 
     Closed rule set, deliberately without transitive reasoning: a failed x=0
-    test, a passed x=1 or x=c (c >= 1) test, or a passed y<x test.
+    test, a passed x=c test with c >= 1 (x=1 among them), or a passed y<x test.
     """
     for cond, holds in ctx.facts:
         match cond, holds:
-            case (EqZero(p), False) if p == param:
-                return True
-            case (EqOne(p), True) if p == param:
+            case (EqConst(p, 0), False) if p == param:
                 return True
             case (EqConst(p, c), True) if p == param and c >= 1:
                 return True

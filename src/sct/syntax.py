@@ -60,18 +60,8 @@ Expr = Union[Var, Const, Succ, Pred, PrimOp, Call]
 # --- boolean expressions ----------------------------------------------------
 
 @dataclass(frozen=True)
-class EqZero:
-    param: str
-
-
-@dataclass(frozen=True)
-class EqOne:
-    param: str
-
-
-@dataclass(frozen=True)
 class EqConst:
-    # equality with a literal >= 0; extends the two base equality atoms
+    # equality with a literal c >= 0; x=0 and x=1 are the cases c = 0 and c = 1
     param: str
     value: int
 
@@ -105,7 +95,7 @@ class Not:
     operand: "BoolExpr"
 
 
-BoolExpr = Union[EqZero, EqOne, EqConst, Lt, Le, And, Or, Not]
+BoolExpr = Union[EqConst, Lt, Le, And, Or, Not]
 
 
 # --- conditionals, definitions, programs -------------------------------------
@@ -140,12 +130,6 @@ class Program:
         for d in self.defs:
             if d.sig.name == name:
                 return d.sig
-        raise KeyError(f"no function named {name!r}")
-
-    def def_named(self, name: str) -> FunDef:
-        for d in self.defs:
-            if d.sig.name == name:
-                return d
         raise KeyError(f"no function named {name!r}")
 
 
@@ -199,10 +183,6 @@ _OR, _AND, _NOT = 1, 2, 3
 
 def _format_bool(b: BoolExpr, parent: int) -> str:
     match b:
-        case EqZero(p):
-            return f"{p}=0"
-        case EqOne(p):
-            return f"{p}=1"
         case EqConst(p, v):
             return f"{p}={v}"
         case Lt(l, r):

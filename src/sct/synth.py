@@ -18,8 +18,6 @@ from .syntax import (
     Call,
     CondExpr,
     EqConst,
-    EqOne,
-    EqZero,
     Expr,
     FunDef,
     If,
@@ -34,14 +32,6 @@ from .syntax import (
 
 class SynthesisError(ValueError):
     """The graph set cannot be compiled (two sources feed one target parameter)."""
-
-
-def _guard(param: str, value: int):
-    if value == 0:
-        return EqZero(param)
-    if value == 1:
-        return EqOne(param)
-    return EqConst(param, value)
 
 
 def _branch_call(graph: SizeChangeGraph, params: tuple[str, ...], arity: int) -> Expr:
@@ -79,7 +69,7 @@ def synthesize(gs: GraphSet) -> Program:
             body = Leaf(_branch_call(outgoing[-1], params, arity))
             for h in range(len(outgoing) - 2, -1, -1):
                 body = If(
-                    _guard(params[0], h),
+                    EqConst(params[0], h),
                     Leaf(_branch_call(outgoing[h], params, arity)),
                     body,
                 )

@@ -25,7 +25,6 @@ from sct import (
     graph_multiset,
     idempotent_power,
     is_idempotent,
-    periodic_descent_params,
     sample_safety,
     synthesize,
     trace_transitions,
@@ -177,9 +176,10 @@ def test_c7_reversal_construction():
         def check(coloring):
             nonlocal extra_params
             run = build_reversal_multipath(coloring)
-            assert decide_periodic_descent(run.lasso, run.graphs) is not None
+            witness = decide_periodic_descent(run.lasso, run.graphs)
+            assert witness is not None
             target = index_sets(coloring.k).index(IndexSet.of(spp_witness(coloring)))
-            params = periodic_descent_params(run.lasso, run.graphs)
+            params = witness.params
             assert target in params
             extra_params += len(params) - 1
             for index_set in index_sets(coloring.k):

@@ -1,7 +1,13 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sct
 from sct.cli import main
 from sct.fixtures import ACKERMANN_SOURCE
 
@@ -175,3 +181,62 @@ class TestFixtures:
             "spp-warmup.json",
             "swap-graphs.json",
         ]
+
+
+# sha256 of stdout and the exit code of whole `sct` processes run in the
+# fixtures directory; stdout must not depend on the hash seed
+GOLDEN = {
+    "analyze-guarded": (
+        ["analyze", "ackermann.sct"],
+        0,
+        "f1d0effad5977e9a038f81891cdbf6702b35cabbc107888a2103278617bf0334",
+    ),
+    "analyze-syntactic": (
+        ["analyze", "ackermann.sct", "--mode", "syntactic"],
+        0,
+        "47a2f6d49ca6e1e89215b9ed9616a48372c1bb69c21d83eb2cfa3e8da5700ea7",
+    ),
+    "graphs-check-ackermann-oracle": (
+        ["graphs", "check", "ackermann-graphs.json", "--oracle", "4"],
+        0,
+        "4cb0109f69dded82c9e22cbb60a0764cb13a3e67c50551211a20ee3902cd2db9",
+    ),
+    "graphs-check-swap-oracle": (
+        ["graphs", "check", "swap-graphs.json", "--oracle", "2"],
+        1,
+        "b3932b1e51e7163818d728867710fd4a3c8a3f1d8f435a987ccfc55767bb7f82",
+    ),
+    "oracle-swap-compare": (
+        ["oracle", "swap-graphs.json", "--max-word-len", "3", "--compare"],
+        1,
+        "4fa9e2c869587468f11e523e4cf05a4a17ff012b5a8bae0c0d38fa7d412440ff",
+    ),
+    "oracle-warmup-compare": (
+        ["oracle", "spp-warmup.json", "--max-word-len", "3", "--compare"],
+        0,
+        "27aff3dc549039f23b3480b90d92bf992d638357f9c6f50df077ec4c0552783d",
+    ),
+    "principles-reversal": (
+        ["principles", "reversal", "--k", "3", "--period", "0,1,2", "--prefix", "2"],
+        0,
+        "59e42fcea1c61b3f2f5d91b638ad864707fc6977db683db75790c7812db21173",
+    ),
+}
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_bytes(fixture_dir, name, hash_seed):
+    argv, code, digest = GOLDEN[name]
+    src = str(Path(sct.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sct.cli", *argv],
+        cwd=fixture_dir,
+        env=env,
+        capture_output=True,
+        check=False,
+    )
+    assert proc.stderr == b""
+    assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == (code, digest)

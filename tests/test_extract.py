@@ -14,7 +14,7 @@ from sct import (
 )
 from sct.extract import Mode, arc_for_argument, extract_description, extract_graph
 from sct.parser import enumerate_call_sites
-from sct.syntax import Call, Const, EqZero, Pred, PrimOp, Succ, Var
+from sct.syntax import Call, Const, EqConst, Pred, PrimOp, Succ, Var
 
 
 @pytest.fixture
@@ -28,7 +28,7 @@ def guard(*facts):
 
 class TestArcForArgument:
     def test_guarded_decrement(self, caller):
-        ctx = guard((EqZero("x"), False))
+        ctx = guard((EqConst("x", 0), False))
         arc = arc_for_argument(Pred("x"), 0, caller, ctx, Mode.GUARDED)
         assert arc == Arc(0, ArcKind.STRICT, 0)
 

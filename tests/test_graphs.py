@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sct.graphs
 from helpers import random_cyclic_word, random_graph_set
 from sct import (
     Arc,
     ArcKind,
     CompositionError,
+    DescentWitness,
     FunSig,
     GraphSet,
     LassoMultipath,
@@ -213,18 +215,25 @@ class TestCriterion:
             else:
                 assert decide_periodic_descent(verdict.lasso, gs) is None
 
+    def test_failing_idempotent_recheck_raises(self, swap_graphs, monkeypatch):
+        # an explicit check, so it survives python -O, unlike a bare assert
+        witness = DescentWitness(params=(0,), start=0, block_len=1)
+        monkeypatch.setattr(sct.graphs, "decide_periodic_descent", lambda lasso, gs: witness)
+        with pytest.raises(AssertionError, match="has a descent"):
+            check_sct_criterion(swap_graphs)
+
 
 class TestPeriodicDescent:
     def test_g2_period(self, ack_graphs):
         witness = decide_periodic_descent(LassoMultipath((), (1,)), ack_graphs)
-        assert (witness.param, witness.start, witness.block_len) == (1, 0, 1)
+        assert (witness.params, witness.start, witness.block_len) == ((1,), 0, 1)
 
     def test_swap_period_has_no_descent(self, swap_graphs):
         assert decide_periodic_descent(LassoMultipath((), (0, 0)), swap_graphs) is None
 
     def test_prefixed_lasso(self, ack_graphs):
         witness = decide_periodic_descent(LassoMultipath((1,), (0,)), ack_graphs)
-        assert (witness.param, witness.start) == (0, 1)
+        assert (witness.params[0], witness.start) == (0, 1)
 
     def test_malformed_lasso(self):
         f, g = sig("f"), sig("g")

@@ -4,6 +4,7 @@ import pytest
 
 from helpers import random_functional_graph_set
 from sct import (
+    FunSig,
     GuardContext,
     ParseError,
     ValidationError,
@@ -17,13 +18,14 @@ from sct.syntax import (
     Call,
     Const,
     EqConst,
-    EqOne,
-    EqZero,
+    FunDef,
     Le,
+    Leaf,
     Lt,
     Not,
     Or,
     Pred,
+    Program,
     Var,
     format_program,
 )
@@ -94,7 +96,7 @@ class TestParse:
     def test_connective_forms(self):
         p = parse_program(CORPUS[4])
         cond = p.defs[0].body.cond
-        assert cond == And(Or(EqZero("x"), EqOne("x")), Not(EqConst("x", 2)))
+        assert cond == And(Or(EqConst("x", 0), EqConst("x", 1)), Not(EqConst("x", 2)))
 
     def test_semicolon_and_juxtaposition(self):
         a = parse_program("f(x) = x; g(y) = f(y)")
@@ -126,7 +128,7 @@ class TestRoundTrip:
 class TestGuards:
     def test_ackermann_contexts(self, ackermann):
         sites = enumerate_call_sites(ackermann)
-        x0, y0 = EqZero("x"), EqZero("y")
+        x0, y0 = EqConst("x", 0), EqConst("y", 0)
         assert sites[0].guard.facts == frozenset({(x0, False), (y0, True)})
         assert sites[1].guard.facts == frozenset({(x0, False), (y0, False)})
         assert sites[2].guard.facts == frozenset({(x0, False), (y0, False)})
@@ -142,12 +144,19 @@ class TestGuards:
         )
         first, second = enumerate_call_sites(p)
         assert first.guard.facts == frozenset(
-            {(Le("x", "y"), True), (Not(EqZero("x")), True)}
+            {(Le("x", "y"), True), (Not(EqConst("x", 0)), True)}
         )
         assert second.guard.facts == frozenset({(Le("x", "y"), False)})
 
     def test_no_calls_no_sites(self):
         assert enumerate_call_sites(parse_program("f(x) = plus(x, 1)")) == []
+
+    def test_unlabeled_program_is_rejected(self):
+        # built without label_program, so the call keeps the default label -1
+        f = FunSig("f", ("x",))
+        program = Program((FunDef(f, Leaf(Call("f", (Pred("x"),)))),))
+        with pytest.raises(ValueError, match="labeled"):
+            enumerate_call_sites(program)
 
 
 class TestImpliesPositive:
@@ -155,7 +164,7 @@ class TestImpliesPositive:
         return GuardContext(frozenset(facts))
 
     def test_failed_zero_test(self):
-        assert implies_positive(self.ctx((EqZero("x"), False)), "x")
+        assert implies_positive(self.ctx((EqConst("x", 0), False)), "x")
 
     def test_empty_context(self):
         assert not implies_positive(self.ctx(), "x")
@@ -164,14 +173,14 @@ class TestImpliesPositive:
         assert implies_positive(self.ctx((Lt("y", "x"), True)), "x")
 
     def test_one_and_constant_tests(self):
-        assert implies_positive(self.ctx((EqOne("x"), True)), "x")
+        assert implies_positive(self.ctx((EqConst("x", 1), True)), "x")
         assert implies_positive(self.ctx((EqConst("x", 3), True)), "x")
         assert not implies_positive(self.ctx((EqConst("x", 0), True)), "x")
 
     def test_no_inference_beyond_the_rules(self):
-        assert not implies_positive(self.ctx((EqZero("x"), True)), "x")
+        assert not implies_positive(self.ctx((EqConst("x", 0), True)), "x")
         assert not implies_positive(self.ctx((Le("y", "x"), True)), "x")
         assert not implies_positive(self.ctx((Lt("x", "y"), True)), "x")
-        assert not implies_positive(self.ctx((EqZero("y"), False)), "x")
+        assert not implies_positive(self.ctx((EqConst("y", 0), False)), "x")
         # a negated atom hidden under ! is not decomposed
-        assert not implies_positive(self.ctx((Not(EqZero("x")), True)), "x")
+        assert not implies_positive(self.ctx((Not(EqConst("x", 0)), True)), "x")

@@ -7,7 +7,6 @@ from sct import (
     check_sct_criterion,
     closure,
     decide_periodic_descent,
-    periodic_descent_params,
 )
 from sct.colorings import EPColoring, spp_witness
 from sct.graphs import Arc, ArcKind, SizeChangeGraph
@@ -152,26 +151,25 @@ def assert_descent_at_witness_set(coloring):
     witness = decide_periodic_descent(run.lasso, run.graphs)
     assert witness is not None
     target = index_sets(coloring.k).index(IndexSet.of(spp_witness(coloring)))
-    params = periodic_descent_params(run.lasso, run.graphs)
-    assert target in params
-    return params
+    assert target in witness.params
+    return witness.params
 
 
 class TestReversal:
     def test_alternating_pair(self):
         run = build_reversal_multipath(EPColoring(2, (), (0, 1)))
         witness = decide_periodic_descent(run.lasso, run.graphs)
-        assert index_sets(2)[witness.param].members == (0, 1)
+        assert index_sets(2)[witness.params[0]].members == (0, 1)
 
     def test_single_recurring_color(self):
         run = build_reversal_multipath(EPColoring(2, (), (0,)))
         witness = decide_periodic_descent(run.lasso, run.graphs)
-        assert index_sets(2)[witness.param].members == (0,)
+        assert index_sets(2)[witness.params[0]].members == (0,)
 
     def test_one_color(self):
         run = build_reversal_multipath(EPColoring(1, (), (0,)))
         witness = decide_periodic_descent(run.lasso, run.graphs)
-        assert index_sets(1)[witness.param].members == (0,)
+        assert index_sets(1)[witness.params[0]].members == (0,)
 
     def test_descent_lands_on_the_recurring_set_exhaustively(self):
         extras = 0
