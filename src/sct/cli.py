@@ -2,7 +2,9 @@
 
 Exit codes: 0 for a terminating verdict (or plain success), 1 for a definite
 non-terminating verdict (never an error) or an out-of-fuel run, 2 for input
-errors.  Reports are JSON on stdout and byte-stable for identical inputs.
+errors, 3 for an internal error (one "error: internal error: ..." line on
+stderr, never a traceback).  Reports are JSON on stdout and byte-stable for
+identical inputs.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .interp import OutOfFuel, eval_program
 from .oracle import bounded_lasso_oracle
 from .parser import SourceError, parse_program
 from .reduction import build_reversal_multipath, index_sets, spp_reduction_family
-from .synth import SynthesisError, synthesize
+from .synth import synthesize
 from .syntax import format_program
 
 
@@ -47,12 +49,15 @@ def _read_graphs(path: str):
         raise _InputError(f"{path}: {exc}") from None
 
 
-def _emit(data: dict, out: str | None = None) -> None:
-    text = jsonio.dumps(data)
+def _write(text: str, out: str | None = None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text, encoding="utf-8")
+
+
+def _emit(data: dict, out: str | None = None) -> None:
+    _write(jsonio.dumps(data), out)
 
 
 def _verdict_report(gs) -> dict:
@@ -96,16 +101,8 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    gs = _read_graphs(args.file)
-    try:
-        program = synthesize(gs)
-    except SynthesisError as exc:
-        raise _InputError(str(exc)) from None
-    text = format_program(program)
-    if args.output is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.output).write_text(text, encoding="utf-8")
+    program = synthesize(_read_graphs(args.file))
+    _write(format_program(program), args.output)
     return 0
 
 
@@ -156,70 +153,71 @@ def _parse_colors(text: str, what: str) -> tuple[int, ...]:
         raise _InputError(f"{what} must be a comma-separated list of colors") from None
 
 
-def _cmd_principles(args) -> int:
-    if args.principle == "spp-family":
-        gs = spp_reduction_family(args.k)
-        _emit(jsonio.graph_set_to_json(gs), args.output)
-        return 0
-    if args.principle == "reversal":
-        coloring = EPColoring(
-            args.k, _parse_colors(args.prefix, "--prefix"), _parse_colors(args.period, "--period")
-        )
-        run = build_reversal_multipath(coloring)
-        witness = decide_periodic_descent(run.lasso, run.graphs)
-        sets = index_sets(args.k)
-        _emit(
-            {
-                "k": args.k,
-                "prefix": list(coloring.prefix),
-                "period": list(coloring.period),
-                "recurring_colors": sorted(set(coloring.period)),
-                "cycle": {
-                    "prefix_len": len(run.lasso.prefix),
-                    "period_len": len(run.lasso.period),
-                    "distinct_graphs": len(run.graphs),
-                },
-                "descent": {
-                    "param": sets[witness.params[0]].param_name(),
-                    "start": witness.start,
-                    "block_len": witness.block_len,
-                },
-            }
-        )
-        return 0
-    if args.principle == "star":
-        if args.pattern == "parity":
-            coloring = PairColoring.from_function(args.k, args.n, lambda i, j: (j - i) % args.k)
-        elif args.pattern == "constant":
-            coloring = PairColoring.from_function(args.k, args.n, lambda i, j: 0)
-        else:
-            if args.file is None:
-                raise _InputError("--pattern file needs --file")
-            import json
+def _cmd_spp_family(args) -> int:
+    _emit(jsonio.graph_set_to_json(spp_reduction_family(args.k)), args.output)
+    return 0
 
-            try:
-                data = json.loads(Path(args.file).read_text(encoding="utf-8"))
-                rows = data["rows"]
-                coloring = PairColoring.from_function(
-                    data["k"], data["n"], lambda i, j: rows[i][j - i - 1]
-                )
-            except (OSError, KeyError, IndexError, TypeError, ValueError) as exc:
-                raise _InputError(f"bad pair-coloring file: {exc}") from None
-        witness = star_search(coloring, args.min_triangles)
-        if witness is None:
-            _emit({"found": False, "min_triangles": args.min_triangles})
-            return 1
-        _emit(
-            {
-                "found": True,
-                "center": witness.center,
-                "color": witness.color,
-                "triangles": len(witness.pairs),
-                "pairs": [list(p) for p in witness.pairs],
-            }
-        )
-        return 0
-    raise _InputError(f"unknown principle {args.principle!r}")
+
+def _cmd_reversal(args) -> int:
+    coloring = EPColoring(
+        args.k, _parse_colors(args.prefix, "--prefix"), _parse_colors(args.period, "--period")
+    )
+    run = build_reversal_multipath(coloring)
+    witness = decide_periodic_descent(run.lasso, run.graphs)
+    sets = index_sets(args.k)
+    _emit(
+        {
+            "k": args.k,
+            "prefix": list(coloring.prefix),
+            "period": list(coloring.period),
+            "recurring_colors": sorted(set(coloring.period)),
+            "cycle": {
+                "prefix_len": len(run.lasso.prefix),
+                "period_len": len(run.lasso.period),
+                "distinct_graphs": len(run.graphs),
+            },
+            "descent": {
+                "param": sets[witness.params[0]].param_name(),
+                "start": witness.start,
+                "block_len": witness.block_len,
+            },
+        }
+    )
+    return 0
+
+
+def _cmd_star(args) -> int:
+    if args.pattern == "parity":
+        coloring = PairColoring.from_function(args.k, args.n, lambda i, j: (j - i) % args.k)
+    elif args.pattern == "constant":
+        coloring = PairColoring.from_function(args.k, args.n, lambda i, j: 0)
+    else:
+        if args.file is None:
+            raise _InputError("--pattern file needs --file")
+        import json
+
+        try:
+            data = json.loads(Path(args.file).read_text(encoding="utf-8"))
+            rows = data["rows"]
+            coloring = PairColoring.from_function(
+                data["k"], data["n"], lambda i, j: rows[i][j - i - 1]
+            )
+        except (OSError, KeyError, IndexError, TypeError, ValueError) as exc:
+            raise _InputError(f"bad pair-coloring file: {exc}") from None
+    witness = star_search(coloring, args.min_triangles)
+    if witness is None:
+        _emit({"found": False, "min_triangles": args.min_triangles})
+        return 1
+    _emit(
+        {
+            "found": True,
+            "center": witness.center,
+            "color": witness.color,
+            "triangles": len(witness.pairs),
+            "pairs": [list(p) for p in witness.pairs],
+        }
+    )
+    return 0
 
 
 def _cmd_fixtures(args) -> int:
@@ -279,18 +277,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
     f = psub.add_parser("spp-family", help="materialize the reduction graph family")
     f.add_argument("--k", type=int, required=True)
     f.add_argument("-o", "--output")
+    f.set_defaults(fn=_cmd_spp_family)
     r = psub.add_parser("reversal", help="descent from an eventually periodic coloring")
     r.add_argument("--k", type=int, required=True)
     r.add_argument("--period", required=True, help="comma-separated colors")
     r.add_argument("--prefix", default="", help="comma-separated colors")
+    r.set_defaults(fn=_cmd_reversal)
     s = psub.add_parser("star", help="search for an anchored monochromatic triangle pattern")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--k", type=int, default=2)
     s.add_argument("--pattern", choices=["parity", "constant", "file"], default="parity")
     s.add_argument("--file")
     s.add_argument("--min-triangles", type=int, default=1)
-    for q in (f, r, s):
-        q.set_defaults(fn=_cmd_principles)
+    s.set_defaults(fn=_cmd_star)
 
     p = sub.add_parser("fixtures", help="write the bundled example files")
     p.add_argument("-o", "--output", default="fixtures")
@@ -307,6 +306,9 @@ def main(argv=None) -> int:
     except (_InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # last resort: a defect, reported without a traceback
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

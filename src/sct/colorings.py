@@ -49,6 +49,8 @@ class PairColoring:
 
     @classmethod
     def from_function(cls, k: int, n: int, fn: Callable[[int, int], int]) -> "PairColoring":
+        if k < 1:
+            raise ValueError(f"need at least one color, got k = {k}")
         values = {(i, j): fn(i, j) for i in range(n) for j in range(i + 1, n)}
         if any(not 0 <= v < k for v in values.values()):
             raise ValueError(f"colors must be below {k}")

@@ -9,7 +9,6 @@ by inspecting the idempotent elements of that semigroup.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -229,16 +228,6 @@ class GraphSet:
     def __len__(self) -> int:
         return len(self.graphs)
 
-    @cached_property
-    def _name_index(self) -> dict[str, int]:
-        return {n: i for i, n in enumerate(self.names)}
-
-    def index_of(self, name: str) -> int:
-        try:
-            return self._name_index[name]
-        except KeyError:
-            raise KeyError(f"no graph named {name!r}") from None
-
     def word_names(self, word: Iterable[int]) -> list[str]:
         return [self.names[i] for i in word]
 
@@ -276,26 +265,21 @@ def closure(gs: GraphSet) -> Closure:
     """
     if not gs.graphs:
         raise ValueError("cannot close an empty graph set")
-    seen: dict[SizeChangeGraph, tuple[int, ...]] = {}
+    seen: set[SizeChangeGraph] = set()
     order: list[DerivedGraph] = []
-    queue: deque[DerivedGraph] = deque()
     for i, g in enumerate(gs.graphs):
         if g not in seen:
-            dg = DerivedGraph(g, (i,))
-            seen[g] = dg.witness
-            order.append(dg)
-            queue.append(dg)
-    while queue:
-        dg = queue.popleft()
+            seen.add(g)
+            order.append(DerivedGraph(g, (i,)))
+    # order doubles as the BFS queue: it is walked while it grows
+    for dg in order:
         for j, base in enumerate(gs.graphs):
             if dg.graph.target != base.source:
                 continue
             comp = compose(dg.graph, base)
             if comp not in seen:
-                nd = DerivedGraph(comp, dg.witness + (j,))
-                seen[comp] = nd.witness
-                order.append(nd)
-                queue.append(nd)
+                seen.add(comp)
+                order.append(DerivedGraph(comp, dg.witness + (j,)))
     return Closure(tuple(order))
 
 

@@ -45,6 +45,10 @@ class _TraceLimit(Exception):
 class Fuel:
     budget: int
 
+    def __post_init__(self) -> None:
+        if self.budget < 0:
+            raise ValueError(f"fuel must be >= 0, got {self.budget}")
+
     def spend(self) -> None:
         if self.budget <= 0:
             raise OutOfFuel()
@@ -102,7 +106,7 @@ class _Evaluator:
     def cond(self, c: CondExpr, env, sig, values) -> int:
         while isinstance(c, If):
             c = c.then if self.boolean(c.cond, env) else c.orelse
-        return self.expr(c.expr, env, sig, values)
+        return self.expr(c, env, sig, values)
 
     def boolean(self, b: BoolExpr, env) -> bool:
         match b:
@@ -151,9 +155,14 @@ class _Evaluator:
 def eval_program(
     program: Program, fun: str, args: tuple[int, ...], fuel: Union[int, Fuel]
 ) -> int:
-    """Evaluate fun on args; raises OutOfFuel when the budget runs out."""
+    """Evaluate fun on args; raises OutOfFuel when the budget runs out.
+
+    Negative arguments are rejected here, once, and never inside the evaluator.
+    """
     if fun not in {d.sig.name for d in program.defs}:
         raise ValueError(f"no function named {fun!r}")
+    if any(v < 0 for v in args):
+        raise ValueError(f"arguments must be natural numbers, got {list(args)}")
     return _Evaluator(program, _as_fuel(fuel)).call(fun, tuple(args))
 
 

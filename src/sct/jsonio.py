@@ -45,24 +45,28 @@ def _need(data, key, kind, pointer):
     return value
 
 
+def _build(pointer, make, *args):
+    """Call a constructor that owns a rule; its ValueError becomes a SchemaError at pointer."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise SchemaError(pointer, str(exc)) from None
+
+
 def load_graph_set(data: dict) -> GraphSet:
     functions = _need(data, "functions", list, "")
     graphs_json = _need(data, "graphs", list, "")
-    sigs: list[FunSig] = []
     by_name: dict[str, FunSig] = {}
     for i, f in enumerate(functions):
         ptr = f"/functions/{i}"
         name = _need(f, "name", str, ptr)
         params = _need(f, "params", list, ptr)
-        if not params or not all(isinstance(p, str) for p in params):
+        if not all(isinstance(p, str) for p in params):
             raise SchemaError(f"{ptr}/params", "expected a nonempty array of strings")
-        if len(set(params)) != len(params):
-            raise SchemaError(f"{ptr}/params", "parameters must be distinct")
+        sig = _build(f"{ptr}/params", FunSig, name, tuple(params))
         if name in by_name:
             raise SchemaError(f"{ptr}/name", f"duplicate function {name!r}")
-        sig = FunSig(name, tuple(params))
         by_name[name] = sig
-        sigs.append(sig)
     graphs: list[SizeChangeGraph] = []
     names: list[str] = []
     for i, g in enumerate(graphs_json):
@@ -86,21 +90,17 @@ def load_graph_set(data: dict) -> GraphSet:
             frm = _need(arc, "from", str, aptr)
             kind = _need(arc, "kind", str, aptr)
             to = _need(arc, "to", str, aptr)
-            if frm not in src_sig.params:
-                raise SchemaError(f"{aptr}/from", f"unknown parameter {frm!r} of {source}")
-            if to not in tgt_sig.params:
-                raise SchemaError(f"{aptr}/to", f"unknown parameter {to!r} of {target}")
+            src = _build(f"{aptr}/from", src_sig.index_of, frm)
+            tgt = _build(f"{aptr}/to", tgt_sig.index_of, to)
             if kind not in ("strict", "nonstrict"):
                 raise SchemaError(f"{aptr}/kind", "expected \"strict\" or \"nonstrict\"")
             if (frm, to) in seen:
                 raise SchemaError(aptr, f"second arc between {frm!r} and {to!r}")
             seen.add((frm, to))
-            arcs.append(Arc(src_sig.index_of(frm), ArcKind(kind), tgt_sig.index_of(to)))
+            arcs.append(Arc(src, ArcKind(kind), tgt))
         graphs.append(SizeChangeGraph(src_sig, tgt_sig, tuple(arcs)))
         names.append(name)
-    if len(set(names)) != len(names):
-        raise SchemaError("/graphs", "graph names must be distinct")
-    return GraphSet(tuple(sigs), tuple(graphs), tuple(names))
+    return _build("/graphs", GraphSet, tuple(by_name.values()), tuple(graphs), tuple(names))
 
 
 def load_graph_set_file(path: Union[str, Path]) -> GraphSet:

@@ -24,7 +24,6 @@ from .syntax import (
     FunDef,
     If,
     Le,
-    Leaf,
     Lt,
     Not,
     Or,
@@ -227,7 +226,7 @@ class _Parser:
             self.expect("else", "'else'")
             orelse = self.cond_expr()
             return If(cond, then, orelse)
-        return Leaf(self.arith_expr())
+        return self.arith_expr()
 
     def bool_expr(self) -> BoolExpr:
         node = self.bool_and()
@@ -321,14 +320,8 @@ def parse_program(text: str) -> Program:
 
 # --- call sites and guard contexts -------------------------------------------
 
-@dataclass(frozen=True)
-class GuardContext:
-    """The signed branch conditions on the path from a body's root to a call."""
-
-    facts: frozenset[tuple[BoolExpr, bool]] = frozenset()
-
-    def assuming(self, cond: BoolExpr, holds: bool) -> "GuardContext":
-        return GuardContext(self.facts | {(cond, holds)})
+# the signed branch conditions on the path from a body's root to a call
+GuardContext = frozenset[tuple[BoolExpr, bool]]
 
 
 @dataclass(frozen=True)
@@ -358,15 +351,14 @@ def enumerate_call_sites(program: Program) -> list[CallSite]:
                 pass
 
     def walk_cond(c: CondExpr, caller: FunSig, ctx: GuardContext) -> None:
-        match c:
-            case Leaf(e):
-                walk_expr(e, caller, ctx)
-            case If(b, t, o):
-                walk_cond(t, caller, ctx.assuming(b, True))
-                walk_cond(o, caller, ctx.assuming(b, False))
+        if isinstance(c, If):
+            walk_cond(c.then, caller, ctx | {(c.cond, True)})
+            walk_cond(c.orelse, caller, ctx | {(c.cond, False)})
+        else:
+            walk_expr(c, caller, ctx)
 
     for d in program.defs:
-        walk_cond(d.body, d.sig, GuardContext())
+        walk_cond(d.body, d.sig, frozenset())
     if [s.id for s in sites] != list(range(len(sites))):
         raise ValueError("call sites are not labeled in document order (see label_program)")
     return sites
@@ -378,7 +370,7 @@ def implies_positive(ctx: GuardContext, param: str) -> bool:
     Closed rule set, deliberately without transitive reasoning: a failed x=0
     test, a passed x=c test with c >= 1 (x=1 among them), or a passed y<x test.
     """
-    for cond, holds in ctx.facts:
+    for cond, holds in ctx:
         match cond, holds:
             case (EqConst(p, 0), False) if p == param:
                 return True

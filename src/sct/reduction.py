@@ -84,9 +84,6 @@ class ChoiceState:
             if c not in s.members:
                 raise ValueError(f"choice {c} is not in {s.members}")
 
-    def chi(self, index_set: IndexSet) -> int:
-        return self.choices[index_sets(self.k).index(index_set)]
-
 
 def initial_chi(k: int) -> ChoiceState:
     return ChoiceState(k, tuple(s.first for s in index_sets(k)))

@@ -101,18 +101,14 @@ BoolExpr = Union[EqConst, Lt, Le, And, Or, Not]
 # --- conditionals, definitions, programs -------------------------------------
 
 @dataclass(frozen=True)
-class Leaf:
-    expr: Expr
-
-
-@dataclass(frozen=True)
 class If:
     cond: BoolExpr
     then: "CondExpr"
     orelse: "CondExpr"
 
 
-CondExpr = Union[Leaf, If]
+# an If is told apart from every Expr class by its type
+CondExpr = Union[Expr, If]
 
 
 @dataclass(frozen=True)
@@ -124,7 +120,6 @@ class FunDef:
 @dataclass(frozen=True)
 class Program:
     defs: tuple[FunDef, ...]
-    initial: int = 0
 
     def sig_named(self, name: str) -> FunSig:
         for d in self.defs:
@@ -148,15 +143,12 @@ def label_program(program: Program) -> Program:
                 return e
 
     def cond(c: CondExpr) -> CondExpr:
-        match c:
-            case Leaf(e):
-                return Leaf(expr(e))
-            case If(b, t, o):
-                return If(b, cond(t), cond(o))
-        raise TypeError(c)
+        if isinstance(c, If):
+            return If(c.cond, cond(c.then), cond(c.orelse))
+        return expr(c)
 
     defs = tuple(FunDef(d.sig, cond(d.body)) for d in program.defs)
-    return Program(defs, program.initial)
+    return Program(defs)
 
 
 # --- pretty printing ----------------------------------------------------------
@@ -200,22 +192,14 @@ def _format_bool(b: BoolExpr, parent: int) -> str:
     raise TypeError(b)
 
 
-def format_bool(b: BoolExpr) -> str:
-    return _format_bool(b, 0)
-
-
 def format_cond(c: CondExpr) -> str:
-    match c:
-        case Leaf(e):
-            return format_expr(e)
-        case If(b, t, o):
-            return f"if {format_bool(b)} then {format_cond(t)} else {format_cond(o)}"
-    raise TypeError(c)
-
-
-def format_def(d: FunDef) -> str:
-    return f"{d.sig.name}({', '.join(d.sig.params)}) = {format_cond(d.body)}"
+    if isinstance(c, If):
+        cond = _format_bool(c.cond, 0)
+        return f"if {cond} then {format_cond(c.then)} else {format_cond(c.orelse)}"
+    return format_expr(c)
 
 
 def format_program(p: Program) -> str:
-    return "\n".join(format_def(d) for d in p.defs) + "\n"
+    return "\n".join(
+        f"{d.sig.name}({', '.join(d.sig.params)}) = {format_cond(d.body)}" for d in p.defs
+    ) + "\n"

@@ -21,7 +21,6 @@ from .syntax import (
     Expr,
     FunDef,
     If,
-    Leaf,
     Pred,
     Program,
     Succ,
@@ -64,15 +63,11 @@ def synthesize(gs: GraphSet) -> Program:
         outgoing = [g for g in gs.graphs if g.source == sig]
         body: CondExpr
         if not outgoing:
-            body = Leaf(Var(params[0]))
+            body = Var(params[0])
         else:
-            body = Leaf(_branch_call(outgoing[-1], params, arity))
+            body = _branch_call(outgoing[-1], params, arity)
             for h in range(len(outgoing) - 2, -1, -1):
-                body = If(
-                    EqConst(params[0], h),
-                    Leaf(_branch_call(outgoing[h], params, arity)),
-                    body,
-                )
+                body = If(EqConst(params[0], h), _branch_call(outgoing[h], params, arity), body)
         defs.append(FunDef(FunSig(sig.name, params), body))
     return label_program(Program(tuple(defs)))
 

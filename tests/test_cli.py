@@ -101,6 +101,27 @@ class TestRun:
     def test_wrong_arity(self, capsys, ack_file):
         assert main(["run", ack_file, "A", "2"]) == 2
 
+    @pytest.mark.parametrize(
+        "extra", [["A", "-1", "2"], ["A", "2", "2", "--fuel", "-5"]], ids=["arg", "fuel"]
+    )
+    def test_negative_input_exits_2(self, capsys, ack_file, extra):
+        assert main(["run", ack_file, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_internal_error_exits_3(self, capsys, ack_file, monkeypatch):
+        def crash(*args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr("sct.cli.eval_program", crash)
+        assert main(["run", ack_file, "A", "2", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: internal error: RecursionError: maximum recursion depth exceeded\n"
+        )
+
 
 class TestGraphsCheck:
     def test_ackermann_fixture(self, capsys, fixture_dir):
@@ -171,6 +192,12 @@ class TestPrinciples:
         assert (data["center"], data["color"]) == (0, 0)
         assert data["triangles"] >= 5
 
+    def test_star_without_colors_exits_2(self, capsys):
+        assert main(["principles", "star", "--k", "0", "--n", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need at least one color, got k = 0\n"
+
 
 class TestFixtures:
     def test_files_written(self, fixture_dir):
@@ -220,6 +247,51 @@ GOLDEN = {
         ["principles", "reversal", "--k", "3", "--period", "0,1,2", "--prefix", "2"],
         0,
         "59e42fcea1c61b3f2f5d91b638ad864707fc6977db683db75790c7812db21173",
+    ),
+    "extract-guarded": (
+        ["extract", "ackermann.sct"],
+        0,
+        "59fde0db8e353fcc2e5e3b670c83afaa2671636c23de36c3d63583d7793bc47d",
+    ),
+    "extract-syntactic": (
+        ["extract", "ackermann.sct", "--mode", "syntactic"],
+        0,
+        "59fde0db8e353fcc2e5e3b670c83afaa2671636c23de36c3d63583d7793bc47d",
+    ),
+    "synth-ackermann": (
+        ["synth", "ackermann-graphs.json"],
+        0,
+        "a62eae8e0c9c42f49d083b222ce0b75834cef9cf22eaf24a1d6c416e66d6cf3b",
+    ),
+    "synth-warmup": (
+        ["synth", "spp-warmup.json"],
+        0,
+        "cf874f9e44d5ef5a6aecda652e45b6988c6b17ee14a1ed7a7c8ad23d57321dfd",
+    ),
+    "run-ackermann": (
+        ["run", "ackermann.sct", "A", "2", "3"],
+        0,
+        "e1219a664b15a22490674ca760142d633d97f2f2329fc870a52f18804ecd0b48",
+    ),
+    "run-out-of-fuel": (
+        ["run", "ackermann.sct", "A", "3", "3", "--fuel", "100"],
+        1,
+        "5b10af5b66afd52ea9eb72a21b15784ed1a810bd39f0ebf308e4e68a13069c48",
+    ),
+    "principles-spp-family": (
+        ["principles", "spp-family", "--k", "2"],
+        0,
+        "bf1aaa76213e7392fe636dd2589918480a19e62c1cc5f44b02d5efed26b1e6a3",
+    ),
+    "principles-star-parity": (
+        ["principles", "star", "--n", "20", "--min-triangles", "5"],
+        0,
+        "42a97e917adea50343db112e4645565ee777eef6c8d26fedf969ad58bc9dc096",
+    ),
+    "principles-star-constant": (
+        ["principles", "star", "--n", "6", "--pattern", "constant"],
+        0,
+        "d8d4277dfc3e5f8f91417199cc21f8ab193370dd74d450389dbb31d3095d6de7",
     ),
 }
 

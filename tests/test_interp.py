@@ -71,6 +71,14 @@ class TestEval:
         with pytest.raises(ValueError):
             eval_program(ackermann, "B", (1, 1), 10)
 
+    def test_negative_argument(self, ackermann):
+        with pytest.raises(ValueError, match="natural numbers"):
+            eval_program(ackermann, "A", (-1, 2), 10)
+
+    def test_negative_fuel(self, ackermann):
+        with pytest.raises(ValueError, match="fuel"):
+            eval_program(ackermann, "A", (1, 2), -5)
+
     def test_determinism(self, ackermann):
         runs = {eval_program(ackermann, "A", (2, 3), 10**6) for _ in range(3)}
         assert runs == {9}

@@ -85,6 +85,26 @@ class TestSchemaErrors:
             load_graph_set(data)
         assert exc.value.pointer == "/functions/0/params"
 
+    def test_repeated_params(self):
+        data = {"functions": [{"name": "f", "params": ["x", "x"]}], "graphs": []}
+        with pytest.raises(SchemaError) as exc:
+            load_graph_set(data)
+        assert exc.value.pointer == "/functions/0/params"
+
+    def test_unknown_arc_target_parameter(self, ack_graphs):
+        data = self.base(ack_graphs)
+        data["graphs"][1]["arcs"][0]["to"] = "zz"
+        with pytest.raises(SchemaError) as exc:
+            load_graph_set(data)
+        assert exc.value.pointer == "/graphs/1/arcs/0/to"
+
+    def test_duplicate_graph_name(self, ack_graphs):
+        data = self.base(ack_graphs)
+        data["graphs"][1]["name"] = data["graphs"][0]["name"]
+        with pytest.raises(SchemaError) as exc:
+            load_graph_set(data)
+        assert exc.value.pointer == "/graphs"
+
 
 class TestSafetyJson:
     def test_clean_report(self, ackermann, ack_description):

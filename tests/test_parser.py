@@ -20,7 +20,6 @@ from sct.syntax import (
     EqConst,
     FunDef,
     Le,
-    Leaf,
     Lt,
     Not,
     Or,
@@ -129,24 +128,24 @@ class TestGuards:
     def test_ackermann_contexts(self, ackermann):
         sites = enumerate_call_sites(ackermann)
         x0, y0 = EqConst("x", 0), EqConst("y", 0)
-        assert sites[0].guard.facts == frozenset({(x0, False), (y0, True)})
-        assert sites[1].guard.facts == frozenset({(x0, False), (y0, False)})
-        assert sites[2].guard.facts == frozenset({(x0, False), (y0, False)})
+        assert sites[0].guard == frozenset({(x0, False), (y0, True)})
+        assert sites[1].guard == frozenset({(x0, False), (y0, False)})
+        assert sites[2].guard == frozenset({(x0, False), (y0, False)})
 
     def test_comparison_guard(self):
         p = parse_program("f(x, y) = if x<y then f(y, y) else x")
         (site,) = enumerate_call_sites(p)
-        assert site.guard.facts == frozenset({(Lt("x", "y"), True)})
+        assert site.guard == frozenset({(Lt("x", "y"), True)})
 
     def test_facts_are_exactly_the_branch_conditions(self):
         p = parse_program(
             "f(x, y) = if x<=y then if !(x=0) then f(x-1, y) else x else f(x, y-1)"
         )
         first, second = enumerate_call_sites(p)
-        assert first.guard.facts == frozenset(
+        assert first.guard == frozenset(
             {(Le("x", "y"), True), (Not(EqConst("x", 0)), True)}
         )
-        assert second.guard.facts == frozenset({(Le("x", "y"), False)})
+        assert second.guard == frozenset({(Le("x", "y"), False)})
 
     def test_no_calls_no_sites(self):
         assert enumerate_call_sites(parse_program("f(x) = plus(x, 1)")) == []
@@ -154,7 +153,7 @@ class TestGuards:
     def test_unlabeled_program_is_rejected(self):
         # built without label_program, so the call keeps the default label -1
         f = FunSig("f", ("x",))
-        program = Program((FunDef(f, Leaf(Call("f", (Pred("x"),)))),))
+        program = Program((FunDef(f, Call("f", (Pred("x"),))),))
         with pytest.raises(ValueError, match="labeled"):
             enumerate_call_sites(program)
 
