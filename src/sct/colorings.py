@@ -51,6 +51,8 @@ class PairColoring:
     def from_function(cls, k: int, n: int, fn: Callable[[int, int], int]) -> "PairColoring":
         if k < 1:
             raise ValueError(f"need at least one color, got k = {k}")
+        if n < 1:
+            raise ValueError(f"need at least one point, got n = {n}")
         values = {(i, j): fn(i, j) for i in range(n) for j in range(i + 1, n)}
         if any(not 0 <= v < k for v in values.values()):
             raise ValueError(f"colors must be below {k}")
@@ -73,6 +75,8 @@ def star_search(c: PairColoring, min_triangles: int) -> Optional[StarWitness]:
     Returns the smallest center t (then the smallest color) such that
     c(t,m) = c(t,l) = c(m,l) for enough pairs t < m < l.  Exhaustive.
     """
+    if min_triangles < 1:
+        raise ValueError(f"need at least one triangle, got min_triangles = {min_triangles}")
     for t in range(c.n):
         for color in range(c.k):
             pairs = tuple(

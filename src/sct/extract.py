@@ -26,7 +26,6 @@ class Description:
     """One graph per call site, indexed by call-site id."""
 
     sites: tuple[SizeChangeGraph, ...]
-    mode: Mode
 
     def __getitem__(self, site: int) -> SizeChangeGraph:
         return self.sites[site]
@@ -73,4 +72,4 @@ def extract_graph(site: CallSite, mode: Mode) -> SizeChangeGraph:
 
 def extract_description(program: Program, mode: Mode) -> Description:
     sites = enumerate_call_sites(program)
-    return Description(tuple(extract_graph(s, mode) for s in sites), mode)
+    return Description(tuple(extract_graph(s, mode) for s in sites))

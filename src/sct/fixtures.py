@@ -40,7 +40,7 @@ def corrupted_ackermann_description() -> Description:
     description = extract_description(program, Mode.GUARDED)
     g = description.sites[0]
     bad = SizeChangeGraph(g.source, g.target, g.arcs + (Arc(1, ArcKind.STRICT, 1),))
-    return Description((bad,) + description.sites[1:], description.mode)
+    return Description((bad,) + description.sites[1:])
 
 
 def fixture_files() -> dict[str, str]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 
@@ -107,12 +106,6 @@ class SizeChangeGraph:
                 for s, kind, t in arcs
             ),
         )
-
-    def arc_between(self, src: int, tgt: int) -> Optional[Arc]:
-        for a in self.arcs:
-            if a.src == src and a.tgt == tgt:
-                return a
-        return None
 
     def strict_self_params(self) -> tuple[int, ...]:
         return tuple(
@@ -250,10 +243,6 @@ class Closure:
     @property
     def witness_bound(self) -> int:
         return max(len(dg.witness) for dg in self.elements)
-
-    @cached_property
-    def graphs(self) -> frozenset[SizeChangeGraph]:
-        return frozenset(dg.graph for dg in self.elements)
 
 
 def closure(gs: GraphSet) -> Closure:

@@ -95,10 +95,19 @@ class _Evaluator:
         self.fuel = fuel
         self.on_transition = on_transition
 
-    def call(self, name: str, values: tuple[int, ...]) -> int:
-        d = self.defs[name]
+    def enter(self, name: str, values: tuple[int, ...]) -> FunSig:
+        """Check a call from outside the program; the validator checked those inside."""
+        d = self.defs.get(name)
+        if d is None:
+            raise ValueError(f"no function named {name!r}")
+        if any(v < 0 for v in values):
+            raise ValueError(f"arguments must be natural numbers, got {list(values)}")
         if len(values) != d.sig.arity:
             raise ValueError(f"{name} takes {d.sig.arity} argument(s), got {len(values)}")
+        return d.sig
+
+    def call(self, name: str, values: tuple[int, ...]) -> int:
+        d = self.defs[name]
         self.fuel.spend()
         env = dict(zip(d.sig.params, values))
         return self.cond(d.body, env, d.sig, values)
@@ -117,12 +126,9 @@ class _Evaluator:
             case Le(l, r):
                 return env[l] <= env[r]
             case And(l, r):
-                # evaluate both sides; atoms have no effects
-                lv, rv = self.boolean(l, env), self.boolean(r, env)
-                return lv and rv
+                return self.boolean(l, env) and self.boolean(r, env)
             case Or(l, r):
-                lv, rv = self.boolean(l, env), self.boolean(r, env)
-                return lv or rv
+                return self.boolean(l, env) or self.boolean(r, env)
             case Not(operand):
                 return not self.boolean(operand, env)
         raise TypeError(b)
@@ -157,13 +163,12 @@ def eval_program(
 ) -> int:
     """Evaluate fun on args; raises OutOfFuel when the budget runs out.
 
-    Negative arguments are rejected here, once, and never inside the evaluator.
+    An unknown function, negative arguments or a wrong argument count raise
+    ValueError.
     """
-    if fun not in {d.sig.name for d in program.defs}:
-        raise ValueError(f"no function named {fun!r}")
-    if any(v < 0 for v in args):
-        raise ValueError(f"arguments must be natural numbers, got {list(args)}")
-    return _Evaluator(program, _as_fuel(fuel)).call(fun, tuple(args))
+    ev, values = _Evaluator(program, _as_fuel(fuel)), tuple(args)
+    ev.enter(fun, values)
+    return ev.call(fun, values)
 
 
 def trace_transitions(
@@ -174,10 +179,10 @@ def trace_transitions(
 ) -> list[Transition]:
     """The call transitions taken while evaluating from state, in order.
 
-    The list is truncated at max_len or at fuel exhaustion.
+    The list is truncated at max_len or at fuel exhaustion.  A state of a
+    function the program lacks, with another signature, or with negative
+    values raises ValueError.
     """
-    if program.sig_named(state.fun.name) != state.fun:
-        raise ValueError(f"state signature does not match the program's {state.fun.name}")
     out: list[Transition] = []
 
     def record(tr: Transition) -> None:
@@ -186,6 +191,8 @@ def trace_transitions(
             raise _TraceLimit()
 
     ev = _Evaluator(program, _as_fuel(fuel), record)
+    if ev.enter(state.fun.name, state.values) != state.fun:
+        raise ValueError(f"state signature does not match the program's {state.fun.name}")
     try:
         ev.call(state.fun.name, state.values)
     except (OutOfFuel, _TraceLimit):

@@ -23,7 +23,6 @@ from .graphs import (
     SizeChangeGraph,
     Verdict,
 )
-from .interp import SafetyReport
 from .oracle import OracleReport
 
 
@@ -161,26 +160,6 @@ def oracle_report_to_json(report: OracleReport, gs: GraphSet) -> dict:
             "period": gs.word_names(report.counterexample.period),
         }
     return out
-
-
-def safety_report_to_json(report: SafetyReport) -> dict:
-    return {
-        "violations": [
-            {
-                "site": v.site,
-                "arc": {
-                    "from": v.source.fun.params[v.arc.src],
-                    "kind": v.arc.kind.value,
-                    "to": v.target.fun.params[v.arc.tgt],
-                },
-                "source": list(v.source.values),
-                "target": list(v.target.values),
-            }
-            for v in report.violations
-        ],
-        "converged": report.converged,
-        "skipped": report.skipped,
-    }
 
 
 def dumps(data: dict) -> str:

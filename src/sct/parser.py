@@ -65,7 +65,6 @@ class ValidationError(SourceError):
 
 
 _KEYWORDS = {"if", "then", "else"}
-_PUNCT = {"(", ")", ",", ";", "=", "+", "-", "<", "<=", "&&", "||", "!"}
 
 
 @dataclass(frozen=True)
@@ -138,8 +137,8 @@ class _Parser:
 
     # -- token plumbing
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]  # advance() never moves past "eof"
 
     def advance(self) -> _Token:
         tok = self.tokens[self.pos]
@@ -208,14 +207,13 @@ class _Parser:
             self.advance()
             params.append(self.expect("ident", "a parameter name").text)
         self.expect(")", "')'")
-        if len(set(params)) != len(params):
-            raise ValidationError(
-                [Diagnostic(f"duplicate parameter in {header.text!r}", header.line, header.col)]
-            )
+        try:
+            sig = FunSig(header.text, tuple(params))
+        except ValueError as exc:
+            raise ValidationError([Diagnostic(str(exc), header.line, header.col)]) from None
         self.expect("=", "'='")
-        self.params = tuple(params)
-        body = self.cond_expr()
-        return FunDef(FunSig(header.text, tuple(params)), body), header
+        self.params = sig.params
+        return FunDef(sig, self.cond_expr()), header
 
     def cond_expr(self) -> CondExpr:
         if self.peek().kind == "if":

@@ -121,12 +121,6 @@ class FunDef:
 class Program:
     defs: tuple[FunDef, ...]
 
-    def sig_named(self, name: str) -> FunSig:
-        for d in self.defs:
-            if d.sig.name == name:
-                return d.sig
-        raise KeyError(f"no function named {name!r}")
-
 
 def label_program(program: Program) -> Program:
     """Assign call-site labels in document order (pre-order, left to right)."""

@@ -198,6 +198,23 @@ class TestPrinciples:
         assert captured.out == ""
         assert captured.err == "error: need at least one color, got k = 0\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n", "-3"],
+            ["--n", "0"],
+            ["--n", "5", "--min-triangles", "-1"],
+            ["--n", "5", "--min-triangles", "0"],
+        ],
+        ids=["n-negative", "n-zero", "min-triangles-negative", "min-triangles-zero"],
+    )
+    def test_star_bad_size_exits_2(self, capsys, argv):
+        assert main(["principles", "star", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: need at least one ")
+        assert captured.err.count("\n") == 1
+
 
 class TestFixtures:
     def test_files_written(self, fixture_dir):

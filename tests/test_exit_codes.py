@@ -1,0 +1,135 @@
+"""Fuzz the CLI's exit-code contract: any input gives 0, 1 or 2, never a crash.
+
+`sct.cli.main` runs in process on temporary files.  The inputs are arbitrary
+text and JSON, and text or JSON close to valid, so that the checks behind the
+first parse error are reached too.
+"""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sct.cli import main
+
+FUZZ = settings(derandomize=True, deadline=None, max_examples=150)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def assert_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert "internal error" not in err.getvalue()
+
+
+# --- program text -------------------------------------------------------------
+
+FUNS, PARAMS = ["f", "g"], ["x", "y"]
+TOKENS = FUNS + PARAMS + [
+    "if", "then", "else", "plus", "max", "0", "1", "2",
+    "(", ")", ",", ";", "=", "+", "-", "<", "<=", "&&", "||", "!", "\n",
+]
+
+token_text = st.lists(st.sampled_from(TOKENS), max_size=40).map(" ".join)
+
+
+@st.composite
+def program_text(draw):
+    """At most two functions of arity <= 2; a call sometimes has the wrong arity."""
+    arity = {f: draw(st.integers(1, 2)) for f in FUNS[: draw(st.integers(1, 2))]}
+
+    def expr(params, depth):
+        kind = draw(st.integers(0, 3 if depth < 3 else 1))
+        if kind == 0:
+            return draw(st.sampled_from(["0", "1", *params]))
+        if kind == 1:
+            return draw(st.sampled_from(params)) + draw(st.sampled_from(["-1", "+1"]))
+        f = draw(st.sampled_from([*arity, "plus"]))
+        n = draw(st.sampled_from([arity.get(f, 2)] * 3 + [1, 2]))
+        return f"{f}({', '.join(expr(params, depth + 1) for _ in range(n))})"
+
+    defs = []
+    for f, n in arity.items():
+        params = PARAMS[:n]
+        body = expr(params, 0)
+        if draw(st.booleans()):
+            p, q = draw(st.sampled_from(params)), draw(st.sampled_from([*params, "0", "1"]))
+            op = "=" if q.isdigit() else draw(st.sampled_from(["<", "<="]))
+            body = f"if {p}{op}{q} then {expr(params, 1)} else {body}"
+        defs.append(f"{f}({', '.join(params)}) = {body}")
+    return "\n".join(defs)
+
+
+@FUZZ
+@given(st.text(max_size=200) | token_text | program_text())
+def test_analyze(workdir, text):
+    path = workdir / "program.sct"
+    path.write_text(text, encoding="utf-8")
+    assert_contract(["analyze", str(path)])
+
+
+# --- graph-set JSON -----------------------------------------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["functions", "graphs", "name", "params"]), inner),
+    max_leaves=12,
+)
+
+
+def paths(data, path=()):
+    """The JSON pointer, as a tuple, of every value inside data."""
+    if isinstance(data, dict):
+        items = data.items()
+    else:
+        items = enumerate(data) if isinstance(data, list) else ()
+    return [path] + [p for key, value in items for p in paths(value, path + (key,))]
+
+
+@st.composite
+def graph_sets(draw):
+    """A valid set on names from a small alphabet, arity <= 2 and at most 3 graphs,
+    in which one value is sometimes replaced: a kind, a name, a parameter or a shape."""
+    sig = {
+        f: draw(st.lists(st.sampled_from(PARAMS), min_size=1, max_size=2, unique=True))
+        for f in draw(st.lists(st.sampled_from(FUNS), min_size=1, max_size=2, unique=True))
+    }
+    graphs = []
+    for i in range(draw(st.integers(0, 3))):
+        source, target = draw(st.sampled_from(list(sig))), draw(st.sampled_from(list(sig)))
+        ends = st.tuples(st.sampled_from(sig[source]), st.sampled_from(sig[target]))
+        arcs = [
+            {"from": s, "kind": draw(st.sampled_from(["strict", "nonstrict"])), "to": t}
+            for s, t in draw(st.lists(ends, max_size=3, unique=True))
+        ]
+        graphs.append({"name": f"g{i}", "source": source, "target": target, "arcs": arcs})
+    data = {"functions": [{"name": f, "params": p} for f, p in sig.items()], "graphs": graphs}
+    if draw(st.booleans()):
+        *parent, key = draw(st.sampled_from(paths(data)[1:]))
+        node = data
+        for k in parent:
+            node = node[k]
+        node[key] = draw(st.sampled_from(["f", "g0", "h", "x", "z", "weak", 1, -1, [], {}, None]))
+    return data
+
+
+@FUZZ
+@given(
+    json_values | graph_sets(),
+    st.sampled_from([["graphs", "check"], ["graphs", "check", "--oracle", "3"], ["synth"]]),
+)
+def test_graph_set_commands(workdir, data, command):
+    path = workdir / "graphs.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert_contract([*command, str(path)])

@@ -1,6 +1,9 @@
 import pytest
 
 from sct import (
+    Arc,
+    ArcKind,
+    FunSig,
     OutOfFuel,
     State,
     eval_program,
@@ -125,6 +128,19 @@ class TestTrace:
         assert len(trace) == 25
         assert [t.target.values[0] for t in trace] == list(range(1, 26))
 
+    def test_unknown_function(self, ackermann):
+        with pytest.raises(ValueError, match="no function named 'B'"):
+            trace_transitions(ackermann, State(FunSig("B", ("x", "y")), (1, 1)), 10)
+
+    def test_other_signature(self, ackermann):
+        with pytest.raises(ValueError, match="signature does not match"):
+            trace_transitions(ackermann, State(FunSig("A", ("m", "n")), (1, 1)), 10)
+
+    def test_negative_value(self, ackermann):
+        sig = ackermann.defs[0].sig
+        with pytest.raises(ValueError, match="natural numbers"):
+            trace_transitions(ackermann, State(sig, (-1, 2)), 10)
+
 
 class TestSafety:
     def test_guarded_ackermann_is_safe(self, ackermann, ack_description):
@@ -142,6 +158,7 @@ class TestSafety:
         assert report.violations
         v = report.violations[0]
         assert v.site == 0
+        assert v.arc == Arc(1, ArcKind.STRICT, 1)
         # the bogus arc claims y shrinks, but the first call resets y to 1
         assert v.source.values[v.arc.src] <= v.target.values[v.arc.tgt]
 

@@ -8,7 +8,6 @@ from sct.jsonio import (
     SchemaError,
     graph_set_to_json,
     load_graph_set,
-    safety_report_to_json,
     verdict_to_json,
 )
 
@@ -104,39 +103,6 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError) as exc:
             load_graph_set(data)
         assert exc.value.pointer == "/graphs"
-
-
-class TestSafetyJson:
-    def test_clean_report(self, ackermann, ack_description):
-        from sct import sample_safety
-
-        report = sample_safety(
-            ackermann, ack_description, trials=20, value_bound=2, fuel=10**5, seed=9
-        )
-        assert safety_report_to_json(report) == {
-            "violations": [],
-            "converged": 20,
-            "skipped": 0,
-        }
-
-    def test_violation_shape(self, ackermann):
-        from sct import sample_safety
-        from sct.fixtures import corrupted_ackermann_description
-
-        report = sample_safety(
-            ackermann,
-            corrupted_ackermann_description(),
-            trials=50,
-            value_bound=2,
-            fuel=10**5,
-            seed=9,
-        )
-        data = safety_report_to_json(report)
-        assert data["violations"]
-        first = data["violations"][0]
-        assert first["site"] == 0
-        assert first["arc"] == {"from": "y", "kind": "strict", "to": "y"}
-        assert len(first["source"]) == len(first["target"]) == 2
 
 
 class TestVerdictJson:

@@ -72,7 +72,7 @@ class TestParse:
             parse_program("f(x) = x\nf(y) = y")
 
     def test_duplicate_parameter(self):
-        with pytest.raises(ValidationError, match="duplicate parameter"):
+        with pytest.raises(ValidationError, match="repeated parameters"):
             parse_program("f(x, x) = x")
 
     def test_unknown_parameter(self):
