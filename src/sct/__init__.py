@@ -20,7 +20,6 @@ from .graphs import (
     compose_all,
     decide_periodic_descent,
     idempotent_power,
-    induced_pair_coloring,
     is_idempotent,
 )
 from .interp import (
@@ -33,7 +32,7 @@ from .interp import (
     sample_safety,
     trace_transitions,
 )
-from .oracle import OracleReport, bounded_lasso_oracle, enumerate_cyclic_words
+from .oracle import OracleReport, bounded_lasso_oracle
 from .parser import (
     CallSite,
     Diagnostic,
@@ -71,13 +70,12 @@ __all__ = [
     # graphs
     "Arc", "ArcKind", "Closure", "CompositionError", "DerivedGraph", "DescentWitness", "FunSig",
     "GraphSet", "LassoMultipath", "SizeChangeGraph", "Verdict", "check_sct_criterion", "closure",
-    "compose", "compose_all", "decide_periodic_descent", "idempotent_power",
-    "induced_pair_coloring", "is_idempotent",
+    "compose", "compose_all", "decide_periodic_descent", "idempotent_power", "is_idempotent",
     # interp
     "Fuel", "OutOfFuel", "SafetyReport", "State", "Transition", "eval_program", "sample_safety",
     "trace_transitions",
     # oracle
-    "OracleReport", "bounded_lasso_oracle", "enumerate_cyclic_words",
+    "OracleReport", "bounded_lasso_oracle",
     # parser
     "CallSite", "Diagnostic", "GuardContext", "ParseError", "SourceError", "ValidationError",
     "enumerate_call_sites", "implies_positive", "parse_program",

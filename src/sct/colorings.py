@@ -9,9 +9,10 @@ initial segment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Optional
 
-from .graphs import GraphSet, LassoMultipath, SizeChangeGraph, induced_pair_coloring
+from .graphs import GraphSet, LassoMultipath, SizeChangeGraph, _check_lasso, compose
 
 
 @dataclass(frozen=True)
@@ -98,12 +99,13 @@ def pair_coloring_from_lasso(
     Colors are palette indices; the palette lists the distinct composed
     graphs in order of first appearance.
     """
+    _check_lasso(lasso, gs)
+    steps = [gs.graphs[lasso.graph_index_at(t)] for t in range(n - 1)]
     palette: list[SizeChangeGraph] = []
     index: dict[SizeChangeGraph, int] = {}
     values: dict[tuple[int, int], int] = {}
     for i in range(n):
-        for j in range(i + 1, n):
-            g = induced_pair_coloring(lasso, gs, i, j)
+        for j, g in enumerate(accumulate(steps[i:], compose), start=i + 1):
             if g not in index:
                 index[g] = len(palette)
                 palette.append(g)

@@ -361,12 +361,3 @@ def check_sct_criterion(gs: GraphSet, cl: Optional[Closure] = None) -> Verdict:
             return Verdict(False, failing_idempotent=dg, lasso=lasso)
     return Verdict(True)
 
-
-def induced_pair_coloring(
-    lasso: LassoMultipath, gs: GraphSet, i: int, j: int
-) -> SizeChangeGraph:
-    """Composition of the unrolled multipath graphs at positions i..j-1."""
-    if i >= j:
-        raise ValueError("need i < j")
-    _check_lasso(lasso, gs)
-    return compose_all([gs.graphs[lasso.graph_index_at(t)] for t in range(i, j)])

@@ -1,6 +1,6 @@
 """Independent bounded brute-force check of the termination criterion.
 
-Enumerates every composable cyclic word up to a length bound and tests the
+Walks every composable cyclic word up to a length bound and tests the
 idempotent power of its composition for a strict self-arc.  Used to
 cross-validate the closure-based criterion.
 """
@@ -8,12 +8,13 @@ cross-validate the closure-based criterion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .graphs import (
     GraphSet,
     LassoMultipath,
-    compose_all,
+    SizeChangeGraph,
+    compose,
     idempotent_power,
 )
 
@@ -29,37 +30,33 @@ class OracleReport:
         return self.counterexample is not None
 
 
-def enumerate_cyclic_words(gs: GraphSet, max_len: int) -> Iterator[tuple[int, ...]]:
-    """All composable cyclic words over base-graph indices, in shortlex order."""
+def bounded_lasso_oracle(gs: GraphSet, max_len: int) -> OracleReport:
+    """Search composable cyclic words, in shortlex order, for a descent-free repetition.
+
+    A word whose composition has an idempotent power without a strict
+    self-arc yields an infinite multipath without infinite descent.  Each
+    length is walked depth-first, and a word's composition extends the one
+    of its prefix, so every prefix is composed once per length.
+    """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     graphs = gs.graphs
 
-    def extend(word: tuple[int, ...], length: int) -> Iterator[tuple[int, ...]]:
+    def cycles(word: tuple[int, ...], value: SizeChangeGraph, length: int):
         if len(word) == length:
-            if graphs[word[-1]].target == graphs[word[0]].source:
-                yield word
+            if value.target == value.source:
+                yield word, value
             return
-        for j in range(len(graphs)):
-            if word and graphs[word[-1]].target != graphs[j].source:
-                continue
-            yield from extend(word + (j,), length)
+        for j, g in enumerate(graphs):
+            if value.target == g.source:
+                yield from cycles(word + (j,), compose(value, g), length)
 
-    for length in range(1, max_len + 1):
-        yield from extend((), length)
-
-
-def bounded_lasso_oracle(gs: GraphSet, max_len: int) -> OracleReport:
-    """Search cyclic words for a descent-free repetition.
-
-    A word whose composition has an idempotent power without a strict
-    self-arc yields an infinite multipath without infinite descent.
-    """
     checked = 0
-    for word in enumerate_cyclic_words(gs, max_len):
-        checked += 1
-        value = compose_all([gs.graphs[i] for i in word])
-        stable, _ = idempotent_power(value)
-        if not stable.has_strict_self_arc():
-            return OracleReport(LassoMultipath((), word), max_len, checked)
+    for length in range(1, max_len + 1):
+        for i, g in enumerate(graphs):
+            for word, value in cycles((i,), g, length):
+                checked += 1
+                stable, _ = idempotent_power(value)
+                if not stable.has_strict_self_arc():
+                    return OracleReport(LassoMultipath((), word), max_len, checked)
     return OracleReport(None, max_len, checked)

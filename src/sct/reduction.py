@@ -138,24 +138,28 @@ def graph_for(state: ChoiceState, color: int) -> SizeChangeGraph:
 
 
 def spp_reduction_family(k: int) -> GraphSet:
-    """Materialize the graphs of every (choice function, color) pair, deduplicated.
+    """The distinct graphs of all (choice state, color) pairs, in first-appearance order.
 
-    Capped at k <= 3: the number of choice functions grows as the product of
-    all subset sizes.  Use graph_for for single graphs at larger k.
+    graph_for(state, c) depends only on c, the largest active size m and the
+    active sets of size m with least element c (singletons are always active).
+    Each choice of those sets is built once, from the least state giving it:
+    S.last on the chosen sets, S.first elsewhere.  Distinct choices give
+    distinct strict arcs; sorting on (choices, c) gives the order in which
+    the product over states, then colors, first meets each graph.  Bounded
+    to 1 <= k <= 6: k = 7 has over a million graphs.
     """
-    if not 1 <= k <= 3:
-        raise ValueError("full materialization is supported for 1 <= k <= 3")
+    if not 1 <= k <= 6:
+        raise ValueError(f"the spp family is built for 1 <= k <= 6, got k = {k}")
     sets = index_sets(k)
-    graphs: list[SizeChangeGraph] = []
-    seen: set[SizeChangeGraph] = set()
-    for combo in itertools.product(*[s.members for s in sets]):
-        state = ChoiceState(k, combo)
-        for color in range(k):
-            g = graph_for(state, color)
-            if g not in seen:
-                seen.add(g)
-                graphs.append(g)
-    return GraphSet.of(graphs)
+    graphs: dict[tuple[tuple[int, ...], int], SizeChangeGraph] = {}
+    for c in range(k):
+        for m in range(1, k - c + 1):
+            candidates = [s for s in sets if s.first == c and s.size == m]
+            for r in range(1, len(candidates) + 1):
+                for chosen in itertools.combinations(candidates, r):
+                    choices = tuple(s.last if s in chosen else s.first for s in sets)
+                    graphs[choices, c] = graph_for(ChoiceState(k, choices), c)
+    return GraphSet.of(graphs[key] for key in sorted(graphs))
 
 
 def warmup_family() -> GraphSet:

@@ -198,7 +198,7 @@ def test_c7_reversal_construction():
 
 def test_c8_family_termination():
     with criterion("C8 reduction family and warm-up are terminating"):
-        for k in (1, 2):
+        for k in (1, 2, 3, 4):
             fam = spp_reduction_family(k)
             cl = closure(fam)
             assert all(dg.graph.has_strict_self_arc() for dg in cl.elements)

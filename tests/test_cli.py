@@ -176,6 +176,13 @@ class TestPrinciples:
         code, data = run_json(capsys, ["principles", "spp-family", "--k", "2"])
         assert code == 0 and len(data["graphs"]) == 3
 
+    @pytest.mark.parametrize("k", ["0", "7"])
+    def test_spp_family_bad_k_exits_2(self, capsys, k):
+        assert main(["principles", "spp-family", "--k", k]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: the spp family is built for 1 <= k <= 6, got k = {k}\n"
+
     def test_reversal(self, capsys):
         code, data = run_json(
             capsys, ["principles", "reversal", "--k", "2", "--period", "0,1"]
@@ -299,6 +306,16 @@ GOLDEN = {
         ["principles", "spp-family", "--k", "2"],
         0,
         "bf1aaa76213e7392fe636dd2589918480a19e62c1cc5f44b02d5efed26b1e6a3",
+    ),
+    "principles-spp-family-k3": (
+        ["principles", "spp-family", "--k", "3"],
+        0,
+        "e4fa4eb6b4519f8075041939606be2e8a9b62886389a0c79292f0fd6a8b492b9",
+    ),
+    "principles-spp-family-k4": (
+        ["principles", "spp-family", "--k", "4"],
+        0,
+        "48a325546ea79653cc4bdd56f8acf81e8e1ccf74fde213801161b1b6ecea0e03",
     ),
     "principles-star-parity": (
         ["principles", "star", "--n", "20", "--min-triangles", "5"],

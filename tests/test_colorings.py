@@ -1,6 +1,14 @@
 import pytest
 
-from sct import LassoMultipath, is_idempotent
+from sct import (
+    CompositionError,
+    FunSig,
+    GraphSet,
+    LassoMultipath,
+    SizeChangeGraph,
+    compose_all,
+    is_idempotent,
+)
 from sct.colorings import (
     EPColoring,
     PairColoring,
@@ -47,6 +55,39 @@ class TestStarSearch:
     def test_too_small_domain(self):
         c = PairColoring.from_function(1, 3, lambda i, j: 0)
         assert star_search(c, 5) is None
+
+
+class TestInducedColoring:
+    @pytest.mark.parametrize(
+        "lasso",
+        [LassoMultipath((), (1,)), LassoMultipath((), (0, 1)), LassoMultipath((0, 0), (1, 0))],
+        ids=["period-1", "period-01", "with-prefix"],
+    )
+    def test_pairs_compose_their_segment(self, ack_graphs, lasso):
+        coloring, palette = pair_coloring_from_lasso(lasso, ack_graphs, 8)
+        for i in range(8):
+            for j in range(i + 1, 8):
+                segment = [ack_graphs.graphs[lasso.graph_index_at(t)] for t in range(i, j)]
+                assert palette[coloring.at(i, j)] == compose_all(segment)
+
+    def test_single_step(self, ack_graphs):
+        coloring, palette = pair_coloring_from_lasso(LassoMultipath((), (1,)), ack_graphs, 2)
+        assert palette[coloring.at(0, 1)] == ack_graphs.graphs[1]
+
+    def test_idempotent_segment(self, ack_graphs):
+        coloring, palette = pair_coloring_from_lasso(LassoMultipath((), (1,)), ack_graphs, 3)
+        assert palette[coloring.at(0, 2)] == ack_graphs.graphs[1]
+
+    def test_mixed_segment(self, ack_graphs):
+        coloring, palette = pair_coloring_from_lasso(LassoMultipath((), (0, 1)), ack_graphs, 3)
+        assert palette[coloring.at(0, 2)] == ack_graphs.graphs[0]
+
+    def test_not_composable(self):
+        f, g = FunSig("f", ("x",)), FunSig("g", ("y",))
+        gs = GraphSet.of((SizeChangeGraph(f, g, ()),))
+        for lasso in (LassoMultipath((), (0,)), LassoMultipath((), (1,))):
+            with pytest.raises(CompositionError):
+                pair_coloring_from_lasso(lasso, gs, 2)
 
 
 class TestInducedStar:

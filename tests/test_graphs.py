@@ -21,7 +21,6 @@ from sct import (
     compose_all,
     decide_periodic_descent,
     idempotent_power,
-    induced_pair_coloring,
     is_idempotent,
 )
 
@@ -258,21 +257,3 @@ class TestPeriodicDescent:
                 other = decide_periodic_descent(LassoMultipath((), rotated), gs)
                 assert (base is None) == (other is None)
 
-
-class TestInducedColoring:
-    def test_single_step(self, ack_graphs):
-        lasso = LassoMultipath((), (1,))
-        assert induced_pair_coloring(lasso, ack_graphs, 0, 1) == ack_graphs.graphs[1]
-
-    def test_idempotent_segment(self, ack_graphs):
-        lasso = LassoMultipath((), (1,))
-        assert induced_pair_coloring(lasso, ack_graphs, 0, 2) == ack_graphs.graphs[1]
-
-    def test_mixed_segment(self, ack_graphs):
-        lasso = LassoMultipath((), (0, 1))
-        g01 = ack_graphs.graphs[0]
-        assert induced_pair_coloring(lasso, ack_graphs, 0, 2) == g01
-
-    def test_needs_increasing_indices(self, ack_graphs):
-        with pytest.raises(ValueError):
-            induced_pair_coloring(LassoMultipath((), (1,)), ack_graphs, 2, 2)

@@ -1,40 +1,93 @@
+import itertools
 import random
 
 import pytest
 
 from helpers import random_graph_set
 from sct import (
+    Arc,
+    ArcKind,
+    CompositionError,
     FunSig,
     GraphSet,
+    LassoMultipath,
     SizeChangeGraph,
     check_sct_criterion,
     closure,
+    compose_all,
     decide_periodic_descent,
+    idempotent_power,
 )
-from sct.oracle import bounded_lasso_oracle, enumerate_cyclic_words
+from sct.oracle import OracleReport, bounded_lasso_oracle
+
+
+def reference_oracle(gs, max_len):
+    """Plain reference: every index word of each length, composed from scratch."""
+    checked = 0
+    for length in range(1, max_len + 1):
+        for word in itertools.product(range(len(gs.graphs)), repeat=length):
+            graphs = [gs.graphs[i] for i in word]
+            if any(a.target != b.source for a, b in zip(graphs, graphs[1:] + graphs[:1])):
+                continue
+            checked += 1
+            stable, _ = idempotent_power(compose_all(graphs))
+            if not stable.has_strict_self_arc():
+                return OracleReport(LassoMultipath((), word), max_len, checked)
+    return OracleReport(None, max_len, checked)
+
+
+def two_cycle(strict):
+    f, g = FunSig("f", ("x",)), FunSig("g", ("y",))
+    arcs = (Arc(0, ArcKind.STRICT, 0),) if strict else ()
+    return GraphSet.of((SizeChangeGraph(f, g, arcs), SizeChangeGraph(g, f, arcs)))
 
 
 class TestEnumeration:
     def test_self_loops(self, ack_graphs):
-        assert list(enumerate_cyclic_words(ack_graphs, 1)) == [(0,), (1,)]
+        assert bounded_lasso_oracle(ack_graphs, 1) == OracleReport(None, 1, 2)
 
     def test_two_cycles(self):
-        f, g = FunSig("f", ("x",)), FunSig("g", ("y",))
-        gs = GraphSet.of((SizeChangeGraph(f, g, ()), SizeChangeGraph(g, f, ())))
-        assert list(enumerate_cyclic_words(gs, 2)) == [(0, 1), (1, 0)]
+        assert bounded_lasso_oracle(two_cycle(strict=True), 2) == OracleReport(None, 2, 2)
+        report = bounded_lasso_oracle(two_cycle(strict=False), 2)
+        assert report == OracleReport(LassoMultipath((), (0, 1)), 2, 1)
 
     def test_no_cycles(self):
         f, g = FunSig("f", ("x",)), FunSig("g", ("y",))
         gs = GraphSet.of((SizeChangeGraph(f, g, ()),))
-        assert list(enumerate_cyclic_words(gs, 3)) == []
-
-    def test_shortlex_order(self, ack_graphs):
-        words = list(enumerate_cyclic_words(ack_graphs, 3))
-        assert words == sorted(words, key=lambda w: (len(w), w))
+        assert bounded_lasso_oracle(gs, 3) == OracleReport(None, 3, 0)
 
     def test_rejects_zero_bound(self, ack_graphs):
-        with pytest.raises(ValueError):
-            list(enumerate_cyclic_words(ack_graphs, 0))
+        for max_len in (0, -1):
+            with pytest.raises(ValueError):
+                bounded_lasso_oracle(ack_graphs, max_len)
+
+    def test_shortlex_order(self):
+        """The counterexample is the shortlex-least failing word."""
+        rng = random.Random(44)
+        found = 0
+        while found < 40:
+            gs = random_graph_set(rng)
+            report = bounded_lasso_oracle(gs, 4)
+            if not report.refuted:
+                continue
+            found += 1
+            word = report.counterexample.period
+            for length in range(1, len(word) + 1):
+                for other in itertools.product(range(len(gs.graphs)), repeat=length):
+                    if (length, other) >= (len(word), word):
+                        break
+                    try:
+                        descent = decide_periodic_descent(LassoMultipath((), other), gs)
+                    except CompositionError:
+                        continue
+                    assert descent is not None
+
+    def test_matches_reference(self):
+        rng = random.Random(45)
+        for _ in range(1000):
+            gs = random_graph_set(rng)
+            for max_len in range(1, 6):
+                assert bounded_lasso_oracle(gs, max_len) == reference_oracle(gs, max_len)
 
 
 class TestOracle:

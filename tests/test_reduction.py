@@ -9,7 +9,7 @@ from sct import (
     decide_periodic_descent,
 )
 from sct.colorings import EPColoring, spp_witness
-from sct.graphs import Arc, ArcKind, SizeChangeGraph
+from sct.graphs import Arc, ArcKind, GraphSet, SizeChangeGraph
 from sct.reduction import (
     ChoiceState,
     IndexSet,
@@ -136,8 +136,26 @@ class TestFamily:
         assert check_sct_criterion(spp_reduction_family(k), cl).sct
 
     def test_materialization_cap(self):
-        with pytest.raises(ValueError):
-            spp_reduction_family(4)
+        for k in (0, 7):
+            with pytest.raises(ValueError, match="1 <= k <= 6"):
+                spp_reduction_family(k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_product_enumeration(self, k):
+        """Every (choice state, color) pair, deduplicated in first-appearance order."""
+        graphs = []
+        for choices in itertools.product(*[s.members for s in index_sets(k)]):
+            for color in range(k):
+                g = graph_for(ChoiceState(k, choices), color)
+                if g not in graphs:
+                    graphs.append(g)
+        assert spp_reduction_family(k) == GraphSet.of(graphs)
+
+    @pytest.mark.parametrize("k, count", [(4, 24), (5, 119), (6, 2229)])
+    def test_family_size(self, k, count):
+        fam = spp_reduction_family(k)
+        assert len(fam) == count
+        assert fam.sigs == (family_signature(k),)
 
     def test_warmup_family_descends_everywhere(self):
         fam = warmup_family()

@@ -15,14 +15,13 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 @pytest.mark.parametrize(
     "argv, summary_line",
     [
-        (["criterion_vs_oracle.py", "--count", "50"], "50 graph sets, zero disagreements"),
         (
             ["reversal_sweep.py", "--k", "1", "--max-prefix", "1", "--max-period", "2"],
             "4 colorings, descent always at the recurring-color parameter",
         ),
         (["analyze_ackermann.py"], "criterion: terminating"),
     ],
-    ids=["criterion_vs_oracle", "reversal_sweep", "analyze_ackermann"],
+    ids=["reversal_sweep", "analyze_ackermann"],
 )
 def test_script_runs(argv, summary_line):
     src = str(Path(sct.__file__).resolve().parent.parent)
