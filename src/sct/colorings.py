@@ -48,12 +48,14 @@ class PairColoring:
     n: int
     values: dict[tuple[int, int], int]
 
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"need at least one point, got n = {self.n}")
+
     @classmethod
     def from_function(cls, k: int, n: int, fn: Callable[[int, int], int]) -> "PairColoring":
         if k < 1:
             raise ValueError(f"need at least one color, got k = {k}")
-        if n < 1:
-            raise ValueError(f"need at least one point, got n = {n}")
         values = {(i, j): fn(i, j) for i in range(n) for j in range(i + 1, n)}
         if any(not 0 <= v < k for v in values.values()):
             raise ValueError(f"colors must be below {k}")

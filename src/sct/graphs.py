@@ -26,13 +26,6 @@ class ArcKind(Enum):
         return self.name
 
 
-def _combine(a: ArcKind, b: ArcKind) -> ArcKind:
-    # a two-step path decreases strictly as soon as one step does
-    if a is ArcKind.STRICT or b is ArcKind.STRICT:
-        return ArcKind.STRICT
-    return ArcKind.NONSTRICT
-
-
 @dataclass(frozen=True)
 class FunSig:
     """A function name together with its ordered parameter list."""
@@ -64,31 +57,82 @@ class Arc:
     tgt: int
 
 
-@dataclass(frozen=True)
 class SizeChangeGraph:
     """Bipartite arc set between the parameters of two signatures.
 
-    Arcs are kept sorted by (src, tgt) with at most one arc per pair, so
-    equality and hashing are structural.
+    Stored as one int per source parameter: in row i, bit t means "i reaches
+    target t" and bit ``t + target.arity`` means "i reaches target t
+    strictly".  Equality and hashing are int work; ``arcs`` is a derived
+    view, sorted by (src, tgt).
     """
 
-    source: FunSig
-    target: FunSig
-    arcs: tuple[Arc, ...]
+    __slots__ = ("source", "target", "rows", "_hash", "_arcs")
 
-    def __post_init__(self) -> None:
-        arcs = tuple(sorted(self.arcs, key=lambda a: (a.src, a.tgt)))
-        seen: set[tuple[int, int]] = set()
+    def __new__(cls, source: FunSig, target: FunSig, arcs: Iterable[Arc]) -> "SizeChangeGraph":
+        n = target.arity
+        rows = [0] * source.arity
+        arcs = tuple(sorted(arcs, key=lambda a: (a.src, a.tgt)))
         for a in arcs:
-            if not (0 <= a.src < self.source.arity and 0 <= a.tgt < self.target.arity):
+            if not (0 <= a.src < source.arity and 0 <= a.tgt < n):
                 raise ValueError(
-                    f"arc {a.src}->{a.tgt} out of range for "
-                    f"{self.source.name}->{self.target.name}"
+                    f"arc {a.src}->{a.tgt} out of range for {source.name}->{target.name}"
                 )
-            if (a.src, a.tgt) in seen:
+            if rows[a.src] >> a.tgt & 1:
                 raise ValueError(f"two arcs between parameters {a.src} and {a.tgt}")
-            seen.add((a.src, a.tgt))
-        object.__setattr__(self, "arcs", arcs)
+            rows[a.src] |= (1 | (a.kind is ArcKind.STRICT) << n) << a.tgt
+        g = cls._of_rows(source, target, tuple(rows))
+        object.__setattr__(g, "_arcs", arcs)  # already the sorted view
+        return g
+
+    @classmethod
+    def _of_rows(cls, source: FunSig, target: FunSig, rows: tuple[int, ...]) -> "SizeChangeGraph":
+        """A graph from rows already known to be valid; nothing is checked."""
+        g = object.__new__(cls)
+        init = object.__setattr__
+        init(g, "source", source)
+        init(g, "target", target)
+        init(g, "rows", rows)
+        init(g, "_hash", hash((source, target, rows)))
+        return g
+
+    def __setattr__(self, name: str, *_: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SizeChangeGraph):
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.rows == other.rows
+            and (self.source is other.source or self.source == other.source)
+            and (self.target is other.target or self.target == other.target)
+        )
+
+    def __repr__(self) -> str:
+        return f"SizeChangeGraph({self.source!r}, {self.target!r}, {self.arcs!r})"
+
+    def __reduce__(self) -> tuple:
+        return SizeChangeGraph._of_rows, (self.source, self.target, self.rows)
+
+    @property
+    def arcs(self) -> tuple[Arc, ...]:
+        try:
+            return self._arcs
+        except AttributeError:
+            n = self.target.arity
+            arcs = tuple(
+                Arc(s, ArcKind.STRICT if r >> (t + n) & 1 else ArcKind.NONSTRICT, t)
+                for s, r in enumerate(self.rows)
+                for t in range(n)
+                if r >> t & 1
+            )
+            object.__setattr__(self, "_arcs", arcs)
+            return arcs
 
     @classmethod
     def from_names(
@@ -108,9 +152,8 @@ class SizeChangeGraph:
         )
 
     def strict_self_params(self) -> tuple[int, ...]:
-        return tuple(
-            a.src for a in self.arcs if a.src == a.tgt and a.kind is ArcKind.STRICT
-        )
+        n = self.target.arity
+        return tuple(i for i, r in enumerate(self.rows) if r >> (i + n) & 1)
 
     def has_strict_self_arc(self) -> bool:
         return bool(self.strict_self_params())
@@ -129,25 +172,31 @@ def compose(g0: SizeChangeGraph, g1: SizeChangeGraph) -> SizeChangeGraph:
 
     The result has an arc x->z whenever some middle parameter y links them;
     the arc is strict if any linking pair has a strict step, and non-strict
-    only if every linking pair is non-strict on both steps.
+    only if every linking pair is non-strict on both steps.  On rows this is
+    a Boolean matrix product: a row of g0 ORs together the g1 rows it
+    reaches (bringing their strict bits), and the reach bits of the g1 rows
+    it reaches strictly become strict bits.
     """
     if g0.target != g1.source:
         raise CompositionError(
             f"cannot compose {g0.source.name}->{g0.target.name} "
             f"with {g1.source.name}->{g1.target.name}"
         )
-    by_src: dict[int, list[Arc]] = {}
-    for b in g1.arcs:
-        by_src.setdefault(b.src, []).append(b)
-    best: dict[tuple[int, int], ArcKind] = {}
-    for a in g0.arcs:
-        for b in by_src.get(a.tgt, ()):
-            kind = _combine(a.kind, b.kind)
-            key = (a.src, b.tgt)
-            if best.get(key) is not ArcKind.STRICT:
-                best[key] = kind
-    arcs = tuple(Arc(s, k, t) for (s, t), k in sorted(best.items()))
-    return SizeChangeGraph(g0.source, g1.target, arcs)
+    m, n = g1.source.arity, g1.target.arity
+    rows1 = g1.rows
+    out = []
+    for r in g0.rows:
+        acc = strict = 0
+        reach = r & ((1 << m) - 1)
+        while reach:
+            bit = reach & -reach
+            row = rows1[bit.bit_length() - 1]
+            acc |= row
+            if r >> m & bit:
+                strict |= row
+            reach ^= bit
+        out.append(acc | (strict & ((1 << n) - 1)) << n)
+    return SizeChangeGraph._of_rows(g0.source, g1.target, tuple(out))
 
 
 def compose_all(graphs: Sequence[SizeChangeGraph]) -> SizeChangeGraph:

@@ -13,7 +13,6 @@ from typing import Optional
 from .graphs import (
     GraphSet,
     LassoMultipath,
-    SizeChangeGraph,
     compose,
     idempotent_power,
 )
@@ -35,26 +34,26 @@ def bounded_lasso_oracle(gs: GraphSet, max_len: int) -> OracleReport:
 
     A word whose composition has an idempotent power without a strict
     self-arc yields an infinite multipath without infinite descent.  Each
-    length is walked depth-first, and a word's composition extends the one
-    of its prefix, so every prefix is composed once per length.
+    length is walked depth-first on an explicit stack, and a word's
+    composition extends the one of its prefix, so every prefix is composed
+    once per length and the bound is not limited by the recursion limit.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    graphs = gs.graphs
-
-    def cycles(word: tuple[int, ...], value: SizeChangeGraph, length: int):
-        if len(word) == length:
-            if value.target == value.source:
-                yield word, value
-            return
-        for j, g in enumerate(graphs):
-            if value.target == g.source:
-                yield from cycles(word + (j,), compose(value, g), length)
-
+    # children are pushed in reverse index order, so they pop smallest first
+    indexed = tuple(enumerate(gs.graphs))[::-1]
     checked = 0
     for length in range(1, max_len + 1):
-        for i, g in enumerate(graphs):
-            for word, value in cycles((i,), g, length):
+        stack = [((i,), g) for i, g in indexed]
+        while stack:
+            word, value = stack.pop()
+            if len(word) < length:
+                stack.extend(
+                    (word + (j,), compose(value, g))
+                    for j, g in indexed
+                    if value.target == g.source
+                )
+            elif value.target == value.source:
                 checked += 1
                 stable, _ = idempotent_power(value)
                 if not stable.has_strict_self_arc():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from sct import Arc, ArcKind, FunSig, GraphSet, SizeChangeGraph
+from sct import Arc, ArcKind, CompositionError, FunSig, GraphSet, SizeChangeGraph
 
 
 def random_sigs(rng: random.Random, max_funs: int, max_arity: int) -> list[FunSig]:
@@ -72,3 +72,44 @@ def random_cyclic_word(rng: random.Random, gs: GraphSet, max_len: int = 4):
         if gs.graphs[word[-1]].target == gs.graphs[word[0]].source:
             return tuple(word)
     return None
+
+
+def reference_compose(g0: SizeChangeGraph, g1: SizeChangeGraph) -> SizeChangeGraph:
+    """Composition on `Arc` objects, the plain reference for the packed kernel."""
+    if g0.target != g1.source:
+        raise CompositionError("endpoints do not line up")
+    by_src: dict[int, list[Arc]] = {}
+    for b in g1.arcs:
+        by_src.setdefault(b.src, []).append(b)
+    best: dict[tuple[int, int], ArcKind] = {}
+    for a in g0.arcs:
+        for b in by_src.get(a.tgt, ()):
+            # a two-step path decreases strictly as soon as one step does
+            strict = ArcKind.STRICT in (a.kind, b.kind)
+            key = (a.src, b.tgt)
+            if best.get(key) is not ArcKind.STRICT:
+                best[key] = ArcKind.STRICT if strict else ArcKind.NONSTRICT
+    arcs = tuple(Arc(s, k, t) for (s, t), k in sorted(best.items()))
+    return SizeChangeGraph(g0.source, g1.target, arcs)
+
+
+def reference_closure(gs: GraphSet) -> list[tuple[SizeChangeGraph, tuple[int, ...]]]:
+    """Breadth-first closure by `reference_compose`: (graph, witness) pairs in order.
+
+    Graphs are told apart by their arcs, not by the kernel's equality.
+    """
+    order: list[tuple[SizeChangeGraph, tuple[int, ...]]] = []
+    seen: set = set()
+
+    def visit(g: SizeChangeGraph, word: tuple[int, ...]) -> None:
+        if (g.source, g.target, g.arcs) not in seen:
+            seen.add((g.source, g.target, g.arcs))
+            order.append((g, word))
+
+    for i, g in enumerate(gs.graphs):
+        visit(g, (i,))
+    for g, word in order:
+        for j, base in enumerate(gs.graphs):
+            if g.target == base.source:
+                visit(reference_compose(g, base), word + (j,))
+    return order

@@ -57,6 +57,16 @@ class TestStarSearch:
         assert star_search(c, 5) is None
 
 
+class TestPairColoring:
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_needs_a_point(self, ack_graphs, n):
+        message = f"^need at least one point, got n = {n}$"
+        with pytest.raises(ValueError, match=message):
+            PairColoring.from_function(2, n, lambda i, j: 0)
+        with pytest.raises(ValueError, match=message):
+            pair_coloring_from_lasso(LassoMultipath((), (1,)), ack_graphs, n)
+
+
 class TestInducedColoring:
     @pytest.mark.parametrize(
         "lasso",

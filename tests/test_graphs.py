@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -5,7 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sct.graphs
-from helpers import random_cyclic_word, random_graph_set
+from helpers import (
+    random_cyclic_word,
+    random_graph,
+    random_graph_set,
+    random_sigs,
+    reference_closure,
+    reference_compose,
+)
 from sct import (
     Arc,
     ArcKind,
@@ -96,6 +105,93 @@ class TestCompose:
         for a in compose(g0, g1).arcs:
             assert (a.src, a.tgt) not in seen
             seen.add((a.src, a.tgt))
+
+
+class TestConstructor:
+    def test_arc_out_of_range(self):
+        f, h = sig("f", 2), sig("h", 3)
+        for src, tgt in ((2, 0), (-1, 0), (0, 3), (1, -1)):
+            with pytest.raises(ValueError, match=rf"^arc {src}->{tgt} out of range for f->h$"):
+                SizeChangeGraph(f, h, (Arc(0, ArcKind.STRICT, 0), Arc(src, ArcKind.STRICT, tgt)))
+
+    def test_two_arcs_between_one_pair(self):
+        f, h = sig("f", 2), sig("h", 3)
+        arcs = (("p1", "strict", "p0"), ("p0", "nonstrict", "p2"), ("p1", "nonstrict", "p0"))
+        with pytest.raises(ValueError, match="^two arcs between parameters 1 and 0$"):
+            SizeChangeGraph.from_names(f, h, arcs)
+
+    def test_immutable(self):
+        f = sig("f", 2)
+        g = SizeChangeGraph(f, f, (Arc(0, ArcKind.STRICT, 1),))
+        for name, value in (("source", sig("g")), ("target", sig("g")), ("arcs", ())):
+            with pytest.raises(AttributeError):
+                setattr(g, name, value)
+        assert g == SizeChangeGraph(f, f, (Arc(0, ArcKind.STRICT, 1),))
+
+    def test_copies_are_equal(self):
+        f, h = sig("f", 2), sig("h", 3)
+        g = SizeChangeGraph(f, h, (Arc(0, ArcKind.STRICT, 2), Arc(1, ArcKind.NONSTRICT, 0)))
+        for again in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert again == g
+            assert hash(again) == hash(g)
+            assert again.arcs == g.arcs
+
+    def test_strict_self_params_across_arities(self):
+        f, h = sig("f", 3), sig("h", 2)
+        wide = SizeChangeGraph.from_names(
+            f,
+            h,
+            (
+                ("p0", "strict", "p0"),
+                ("p1", "nonstrict", "p1"),
+                ("p1", "strict", "p0"),
+                ("p2", "strict", "p1"),
+            ),
+        )
+        assert wide.strict_self_params() == (0,)
+        narrow = SizeChangeGraph.from_names(
+            h, f, (("p0", "strict", "p2"), ("p1", "strict", "p1"), ("p0", "nonstrict", "p0"))
+        )
+        assert narrow.strict_self_params() == (1,)
+
+    def test_arcs_round_trip_in_any_order(self):
+        rng = random.Random(8)
+        for _ in range(2000):
+            sigs = random_sigs(rng, 2, 6)
+            g = random_graph(rng, rng.choice(sigs), rng.choice(sigs))
+            arcs = list(g.arcs)
+            rng.shuffle(arcs)
+            for again in (
+                SizeChangeGraph(g.source, g.target, g.arcs),
+                SizeChangeGraph(g.source, g.target, arcs),
+            ):
+                assert again == g
+                assert hash(again) == hash(g)
+                assert again.arcs == g.arcs
+
+
+class TestKernel:
+    """The packed kernel against composition on `Arc` objects."""
+
+    def test_compose_matches_reference(self):
+        rng = random.Random(9)
+        for _ in range(5000):
+            sigs = random_sigs(rng, 3, 6)
+            a, b, c = (rng.choice(sigs) for _ in range(3))
+            g0, g1 = random_graph(rng, a, b), random_graph(rng, b, c)
+            packed, plain = compose(g0, g1), reference_compose(g0, g1)
+            assert packed == plain
+            assert packed.arcs == plain.arcs
+
+    def test_closure_matches_reference(self):
+        rng = random.Random(10)
+        for _ in range(300):
+            gs = random_graph_set(rng, max_funs=3, max_arity=3, max_graphs=3)
+            got = [(g.source, g.target, g.arcs, w) for g, w in reference_closure(gs)]
+            assert got == [
+                (dg.graph.source, dg.graph.target, dg.graph.arcs, dg.witness)
+                for dg in closure(gs).elements
+            ]
 
 
 class TestIdempotents:

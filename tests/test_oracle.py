@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -88,6 +89,17 @@ class TestEnumeration:
             gs = random_graph_set(rng)
             for max_len in range(1, 6):
                 assert bounded_lasso_oracle(gs, max_len) == reference_oracle(gs, max_len)
+
+    def test_long_bound_needs_no_recursion(self):
+        f = FunSig("f", ("x",))
+        gs = GraphSet.of((SizeChangeGraph(f, f, (Arc(0, ArcKind.STRICT, 0),)),))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(400)
+        try:
+            report = bounded_lasso_oracle(gs, 600)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert report == OracleReport(None, 600, 600)
 
 
 class TestOracle:
