@@ -167,25 +167,15 @@ class SizeChangeGraph:
         return f"{self.source.name}->{self.target.name}{{{body}}}"
 
 
-def compose(g0: SizeChangeGraph, g1: SizeChangeGraph) -> SizeChangeGraph:
-    """Compose two graphs along their shared middle signature.
+def _product(rows0: Sequence[int], rows1: Sequence[int], m: int, n: int) -> tuple[int, ...]:
+    """The rows of g0;g1 from the rows of g0 (into m parameters) and g1 (m into n).
 
-    The result has an arc x->z whenever some middle parameter y links them;
-    the arc is strict if any linking pair has a strict step, and non-strict
-    only if every linking pair is non-strict on both steps.  On rows this is
-    a Boolean matrix product: a row of g0 ORs together the g1 rows it
+    A Boolean matrix product: a row of g0 ORs together the g1 rows it
     reaches (bringing their strict bits), and the reach bits of the g1 rows
     it reaches strictly become strict bits.
     """
-    if g0.target != g1.source:
-        raise CompositionError(
-            f"cannot compose {g0.source.name}->{g0.target.name} "
-            f"with {g1.source.name}->{g1.target.name}"
-        )
-    m, n = g1.source.arity, g1.target.arity
-    rows1 = g1.rows
     out = []
-    for r in g0.rows:
+    for r in rows0:
         acc = strict = 0
         reach = r & ((1 << m) - 1)
         while reach:
@@ -196,7 +186,23 @@ def compose(g0: SizeChangeGraph, g1: SizeChangeGraph) -> SizeChangeGraph:
                 strict |= row
             reach ^= bit
         out.append(acc | (strict & ((1 << n) - 1)) << n)
-    return SizeChangeGraph._of_rows(g0.source, g1.target, tuple(out))
+    return tuple(out)
+
+
+def compose(g0: SizeChangeGraph, g1: SizeChangeGraph) -> SizeChangeGraph:
+    """Compose two graphs along their shared middle signature.
+
+    The result has an arc x->z whenever some middle parameter y links them;
+    the arc is strict if any linking pair has a strict step, and non-strict
+    only if every linking pair is non-strict on both steps.
+    """
+    if g0.target != g1.source:
+        raise CompositionError(
+            f"cannot compose {g0.source.name}->{g0.target.name} "
+            f"with {g1.source.name}->{g1.target.name}"
+        )
+    rows = _product(g0.rows, g1.rows, g1.source.arity, g1.target.arity)
+    return SizeChangeGraph._of_rows(g0.source, g1.target, rows)
 
 
 def compose_all(graphs: Sequence[SizeChangeGraph]) -> SizeChangeGraph:
@@ -274,12 +280,33 @@ class GraphSet:
         return [self.names[i] for i in word]
 
 
-@dataclass(frozen=True)
 class DerivedGraph:
-    """A closure element together with a word of base-graph indices that composes to it."""
+    """A closure element: its graph, the element it extends and the base graph appended.
 
-    graph: SizeChangeGraph
-    witness: tuple[int, ...]
+    ``parent`` is None for a base graph.  The witness word is built on demand
+    by walking the parents; equality is identity, as each closure element is
+    built once.
+    """
+
+    __slots__ = ("graph", "parent", "last")
+
+    def __init__(self, graph: SizeChangeGraph, parent: Optional["DerivedGraph"], last: int) -> None:
+        self.graph = graph
+        self.parent = parent
+        self.last = last
+
+    def __repr__(self) -> str:
+        return f"DerivedGraph({self.graph!r}, witness={self.witness!r})"
+
+    @property
+    def witness(self) -> tuple[int, ...]:
+        """The word of base-graph indices that composes to the graph."""
+        word = []
+        dg: Optional[DerivedGraph] = self
+        while dg is not None:
+            word.append(dg.last)
+            dg = dg.parent
+        return tuple(reversed(word))
 
 
 @dataclass(frozen=True)
@@ -291,7 +318,8 @@ class Closure:
 
     @property
     def witness_bound(self) -> int:
-        return max(len(dg.witness) for dg in self.elements)
+        # breadth-first order: witness lengths never decrease along elements
+        return len(self.elements[-1].witness)
 
 
 def closure(gs: GraphSet) -> Closure:
@@ -300,25 +328,35 @@ def closure(gs: GraphSet) -> Closure:
     Breadth-first extension by base graphs visits candidate words in shortlex
     order, so each element carries the shortlex-least witness among the
     derivations the fixpoint discovers, and the result is deterministic.
+    Candidates are told apart by (source index, target index, rows), so a
+    graph object is built only for a new element.
     """
     if not gs.graphs:
         raise ValueError("cannot close an empty graph set")
-    seen: set[SizeChangeGraph] = set()
-    order: list[DerivedGraph] = []
-    for i, g in enumerate(gs.graphs):
-        if g not in seen:
-            seen.add(g)
-            order.append(DerivedGraph(g, (i,)))
-    # order doubles as the BFS queue: it is walked while it grows
-    for dg in order:
-        for j, base in enumerate(gs.graphs):
-            if dg.graph.target != base.source:
-                continue
-            comp = compose(dg.graph, base)
-            if comp not in seen:
-                seen.add(comp)
-                order.append(DerivedGraph(comp, dg.witness + (j,)))
-    return Closure(tuple(order))
+    index = {sig: k for k, sig in enumerate(gs.sigs)}
+    arity = [sig.arity for sig in gs.sigs]
+    # base graphs by source index: (base index, target index, target, rows)
+    by_source: list[list[tuple[int, int, FunSig, tuple[int, ...]]]] = [[] for _ in gs.sigs]
+    seen: set[tuple[int, int, tuple[int, ...]]] = set()
+    # (source index, target index, element), in breadth-first order; it
+    # doubles as the queue: it is walked while it grows
+    order: list[tuple[int, int, DerivedGraph]] = []
+    for j, g in enumerate(gs.graphs):
+        src, tgt = index[g.source], index[g.target]
+        by_source[src].append((j, tgt, g.target, g.rows))
+        if (src, tgt, g.rows) not in seen:
+            seen.add((src, tgt, g.rows))
+            order.append((src, tgt, DerivedGraph(g, None, j)))
+    for src, mid, dg in order:
+        g, m = dg.graph, arity[mid]
+        for j, tgt, target, rows1 in by_source[mid]:
+            rows = _product(g.rows, rows1, m, arity[tgt])
+            key = (src, tgt, rows)
+            if key not in seen:
+                seen.add(key)
+                comp = SizeChangeGraph._of_rows(g.source, target, rows)
+                order.append((src, tgt, DerivedGraph(comp, dg, j)))
+    return Closure(tuple(dg for _, _, dg in order))
 
 
 @dataclass(frozen=True)
@@ -402,7 +440,7 @@ def check_sct_criterion(gs: GraphSet, cl: Optional[Closure] = None) -> Verdict:
         cl = closure(gs)
     for dg in cl.elements:
         g = dg.graph
-        if g.source == g.target and is_idempotent(g) and not g.has_strict_self_arc():
+        if g.source == g.target and not g.has_strict_self_arc() and is_idempotent(g):
             lasso = LassoMultipath((), dg.witness)
             # a failing idempotent must also be descent-free as a lasso
             if decide_periodic_descent(lasso, gs) is not None:

@@ -37,6 +37,8 @@ def bounded_lasso_oracle(gs: GraphSet, max_len: int) -> OracleReport:
     length is walked depth-first on an explicit stack, and a word's
     composition extends the one of its prefix, so every prefix is composed
     once per length and the bound is not limited by the recursion limit.
+    The walk stops at the first length no composable word reaches, as no
+    longer word is composable either.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -45,6 +47,7 @@ def bounded_lasso_oracle(gs: GraphSet, max_len: int) -> OracleReport:
     checked = 0
     for length in range(1, max_len + 1):
         stack = [((i,), g) for i, g in indexed]
+        reached = False
         while stack:
             word, value = stack.pop()
             if len(word) < length:
@@ -53,9 +56,13 @@ def bounded_lasso_oracle(gs: GraphSet, max_len: int) -> OracleReport:
                     for j, g in indexed
                     if value.target == g.source
                 )
-            elif value.target == value.source:
+                continue
+            reached = True
+            if value.target == value.source:
                 checked += 1
                 stable, _ = idempotent_power(value)
                 if not stable.has_strict_self_arc():
                     return OracleReport(LassoMultipath((), word), max_len, checked)
+        if not reached:
+            break
     return OracleReport(None, max_len, checked)

@@ -32,6 +32,7 @@ from sct import (
     idempotent_power,
     is_idempotent,
 )
+from sct.reduction import spp_reduction_family
 
 def sig(name="f", arity=2):
     return FunSig(name, tuple(f"p{i}" for i in range(arity)))
@@ -183,15 +184,28 @@ class TestKernel:
             assert packed == plain
             assert packed.arcs == plain.arcs
 
+    @staticmethod
+    def assert_closure_matches_reference(gs):
+        got = [(g.source, g.target, g.arcs, w) for g, w in reference_closure(gs)]
+        assert got == [
+            (dg.graph.source, dg.graph.target, dg.graph.arcs, dg.witness)
+            for dg in closure(gs).elements
+        ]
+
     def test_closure_matches_reference(self):
         rng = random.Random(10)
-        for _ in range(300):
-            gs = random_graph_set(rng, max_funs=3, max_arity=3, max_graphs=3)
-            got = [(g.source, g.target, g.arcs, w) for g, w in reference_closure(gs)]
-            assert got == [
-                (dg.graph.source, dg.graph.target, dg.graph.arcs, dg.witness)
-                for dg in closure(gs).elements
-            ]
+        for _ in range(200):
+            gs = random_graph_set(rng, max_funs=3, max_arity=8, max_graphs=4)
+            self.assert_closure_matches_reference(gs)
+            # equal copies under later names: the first index is the witness
+            graphs = list(gs.graphs)
+            for g in rng.choices(gs.graphs, k=rng.randint(1, 3)):
+                copy = SizeChangeGraph(g.source, g.target, g.arcs)
+                graphs.insert(rng.randint(0, len(graphs)), copy)
+            self.assert_closure_matches_reference(GraphSet.of(graphs, sigs=gs.sigs))
+
+    def test_spp_family_closure_matches_reference(self):
+        self.assert_closure_matches_reference(spp_reduction_family(4))
 
 
 class TestIdempotents:
@@ -265,6 +279,12 @@ class TestClosure:
             for dg in closure(gs).elements:
                 assert compose_all([gs.graphs[i] for i in dg.witness]) == dg.graph
 
+    def test_witness_bound_is_longest_witness(self):
+        rng = random.Random(6)
+        for _ in range(100):
+            cl = closure(random_graph_set(rng, max_funs=3, max_arity=3, max_graphs=4))
+            assert cl.witness_bound == max(len(dg.witness) for dg in cl.elements)
+
     def test_complete_for_short_words(self):
         rng = random.Random(4)
         for _ in range(30):
@@ -309,6 +329,29 @@ class TestCriterion:
                         assert decide_periodic_descent(lasso, gs) is not None
             else:
                 assert decide_periodic_descent(verdict.lasso, gs) is None
+
+    def test_failing_element_is_first_failing_idempotent(self):
+        """Against a plain scan of the reference closure, on arcs."""
+        rng = random.Random(11)
+        failures = 0
+        for _ in range(200):
+            gs = random_graph_set(rng, max_funs=3, max_arity=3, max_graphs=3)
+            plain = [
+                (g, w)
+                for g, w in reference_closure(gs)
+                if g.source == g.target
+                and reference_compose(g, g).arcs == g.arcs
+                and not any(a.src == a.tgt and a.kind is ArcKind.STRICT for a in g.arcs)
+            ]
+            verdict = check_sct_criterion(gs)
+            assert verdict.sct == (not plain)
+            if plain:
+                failures += 1
+                g, w = plain[0]
+                assert verdict.failing_idempotent.graph.arcs == g.arcs
+                assert verdict.failing_idempotent.witness == w
+                assert verdict.lasso == LassoMultipath((), w)
+        assert failures > 20
 
     def test_failing_idempotent_recheck_raises(self, swap_graphs, monkeypatch):
         # an explicit check, so it survives python -O, unlike a bare assert

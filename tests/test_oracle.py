@@ -57,6 +57,11 @@ class TestEnumeration:
         gs = GraphSet.of((SizeChangeGraph(f, g, ()),))
         assert bounded_lasso_oracle(gs, 3) == OracleReport(None, 3, 0)
 
+    def test_acyclic_chain_stops_at_the_longest_path(self):
+        sigs = [FunSig(f"f{i}", ("x",)) for i in range(4)]
+        gs = GraphSet.of([SizeChangeGraph(a, b, ()) for a, b in zip(sigs, sigs[1:])])
+        assert bounded_lasso_oracle(gs, 10**6) == OracleReport(None, 10**6, 0)
+
     def test_rejects_zero_bound(self, ack_graphs):
         for max_len in (0, -1):
             with pytest.raises(ValueError):
