@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 
 class CompositionError(ValueError):
@@ -62,8 +62,8 @@ class SizeChangeGraph:
 
     Stored as one int per source parameter: in row i, bit t means "i reaches
     target t" and bit ``t + target.arity`` means "i reaches target t
-    strictly".  Equality and hashing are int work; ``arcs`` is a derived
-    view, sorted by (src, tgt).
+    strictly".  Equality compares rows, then signatures; the hash is computed
+    on first use.  ``arcs`` is a derived view, sorted by (src, tgt).
     """
 
     __slots__ = ("source", "target", "rows", "_hash", "_arcs")
@@ -92,7 +92,6 @@ class SizeChangeGraph:
         init(g, "source", source)
         init(g, "target", target)
         init(g, "rows", rows)
-        init(g, "_hash", hash((source, target, rows)))
         return g
 
     def __setattr__(self, name: str, *_: object) -> None:
@@ -101,14 +100,20 @@ class SizeChangeGraph:
     __delattr__ = __setattr__
 
     def __hash__(self) -> int:
-        return self._hash
+        # computed on first use: closure elements are told apart by rows and
+        # most are never hashed
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.source, self.target, self.rows))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SizeChangeGraph):
             return NotImplemented
         return (
-            self._hash == other._hash
-            and self.rows == other.rows
+            self.rows == other.rows
             and (self.source is other.source or self.source == other.source)
             and (self.target is other.target or self.target == other.target)
         )
@@ -156,7 +161,7 @@ class SizeChangeGraph:
         return tuple(i for i, r in enumerate(self.rows) if r >> (i + n) & 1)
 
     def has_strict_self_arc(self) -> bool:
-        return bool(self.strict_self_params())
+        return _has_strict_diagonal(self.rows, self.target.arity)
 
     def __str__(self) -> str:
         rel = {ArcKind.STRICT: ">", ArcKind.NONSTRICT: ">="}
@@ -187,6 +192,32 @@ def _product(rows0: Sequence[int], rows1: Sequence[int], m: int, n: int) -> tupl
             reach ^= bit
         out.append(acc | (strict & ((1 << n) - 1)) << n)
     return tuple(out)
+
+
+def _has_strict_diagonal(rows: Sequence[int], n: int) -> bool:
+    """Whether some row i has its strict bit for target i (targets of arity n)."""
+    for i, r in enumerate(rows):
+        if r >> (i + n) & 1:
+            return True
+    return False
+
+
+class _RowMap(dict):
+    """The rows of r;g1 for one right factor g1, keyed by the left row r.
+
+    A lookup of a row not seen yet computes it with ``_product`` and keeps
+    it, so a map holds only the rows its caller meets, at most 3**m of them.
+    """
+
+    __slots__ = ("right", "m", "n")
+
+    def __init__(self, right: tuple[int, ...], m: int, n: int) -> None:
+        super().__init__()
+        self.right, self.m, self.n = right, m, n
+
+    def __missing__(self, row: int) -> int:
+        self[row] = out = _product((row,), self.right, self.m, self.n)[0]
+        return out
 
 
 def compose(g0: SizeChangeGraph, g1: SizeChangeGraph) -> SizeChangeGraph:
@@ -329,28 +360,32 @@ def closure(gs: GraphSet) -> Closure:
     order, so each element carries the shortlex-least witness among the
     derivations the fixpoint discovers, and the result is deterministic.
     Candidates are told apart by (source index, target index, rows), so a
-    graph object is built only for a new element.
+    graph object is built only for a new element.  Every right factor is a
+    base graph, so each element is extended through one row map per base
+    graph: a lookup per row.
     """
     if not gs.graphs:
         raise ValueError("cannot close an empty graph set")
     index = {sig: k for k, sig in enumerate(gs.sigs)}
     arity = [sig.arity for sig in gs.sigs]
-    # base graphs by source index: (base index, target index, target, rows)
-    by_source: list[list[tuple[int, int, FunSig, tuple[int, ...]]]] = [[] for _ in gs.sigs]
+    # base graphs by source index: (base index, target index, target, row lookup)
+    by_source: list[list[tuple[int, int, FunSig, Callable[[int], int]]]] = [[] for _ in gs.sigs]
     seen: set[tuple[int, int, tuple[int, ...]]] = set()
     # (source index, target index, element), in breadth-first order; it
     # doubles as the queue: it is walked while it grows
     order: list[tuple[int, int, DerivedGraph]] = []
     for j, g in enumerate(gs.graphs):
         src, tgt = index[g.source], index[g.target]
-        by_source[src].append((j, tgt, g.target, g.rows))
+        lookup = _RowMap(g.rows, arity[src], arity[tgt]).__getitem__
+        by_source[src].append((j, tgt, g.target, lookup))
         if (src, tgt, g.rows) not in seen:
             seen.add((src, tgt, g.rows))
             order.append((src, tgt, DerivedGraph(g, None, j)))
     for src, mid, dg in order:
-        g, m = dg.graph, arity[mid]
-        for j, tgt, target, rows1 in by_source[mid]:
-            rows = _product(g.rows, rows1, m, arity[tgt])
+        g = dg.graph
+        left = g.rows
+        for j, tgt, target, lookup in by_source[mid]:
+            rows = tuple(map(lookup, left))
             key = (src, tgt, rows)
             if key not in seen:
                 seen.add(key)
@@ -440,7 +475,11 @@ def check_sct_criterion(gs: GraphSet, cl: Optional[Closure] = None) -> Verdict:
         cl = closure(gs)
     for dg in cl.elements:
         g = dg.graph
-        if g.source == g.target and not g.has_strict_self_arc() and is_idempotent(g):
+        source, target = g.source, g.target
+        if not (source is target or source == target):
+            continue
+        rows, n = g.rows, target.arity
+        if not _has_strict_diagonal(rows, n) and _product(rows, rows, n, n) == rows:
             lasso = LassoMultipath((), dg.witness)
             # a failing idempotent must also be descent-free as a lasso
             if decide_periodic_descent(lasso, gs) is not None:

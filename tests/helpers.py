@@ -55,6 +55,35 @@ def random_functional_graph_set(
     return GraphSet.of(graphs, sigs=sigs)
 
 
+def random_wide_graph_set(rng: random.Random, max_funs: int = 2, max_graphs: int = 3) -> GraphSet:
+    """Graph sets on 70 to 72 parameters whose closures stay small.
+
+    Each function has a core of three parameters, one of them past the 64th;
+    a graph links the cores at random and every other parameter to itself,
+    non-strictly, so rows and strict bits run past 64 bits.
+    """
+    sigs = [
+        FunSig(f"f{i}", tuple(f"p{j}" for j in range(rng.randint(70, 72))))
+        for i in range(rng.randint(1, max_funs))
+    ]
+    core = {s: rng.sample(range(64), 2) + [rng.randrange(64, s.arity)] for s in sigs}
+    graphs = []
+    for _ in range(rng.randint(1, max_graphs)):
+        a, b = rng.choice(sigs), rng.choice(sigs)
+        arcs = [
+            Arc(p, ArcKind.NONSTRICT, p)
+            for p in range(min(a.arity, b.arity))
+            if p not in core[a] and p not in core[b]
+        ]
+        for s in core[a]:
+            for t in core[b]:
+                r = rng.random()
+                if r < 0.5:
+                    arcs.append(Arc(s, ArcKind.STRICT if r < 0.25 else ArcKind.NONSTRICT, t))
+        graphs.append(SizeChangeGraph(a, b, tuple(arcs)))
+    return GraphSet.of(graphs, sigs=sigs)
+
+
 def random_cyclic_word(rng: random.Random, gs: GraphSet, max_len: int = 4):
     """A composable cyclic word over gs, or None if the random walk finds none."""
     for _ in range(50):

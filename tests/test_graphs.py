@@ -12,6 +12,7 @@ from helpers import (
     random_graph,
     random_graph_set,
     random_sigs,
+    random_wide_graph_set,
     reference_closure,
     reference_compose,
 )
@@ -330,28 +331,44 @@ class TestCriterion:
             else:
                 assert decide_periodic_descent(verdict.lasso, gs) is None
 
+    @staticmethod
+    def assert_verdict_matches_reference(gs) -> bool:
+        """Against a plain scan of the reference closure, on arcs; True if gs fails."""
+        plain = [
+            (g, w)
+            for g, w in reference_closure(gs)
+            if g.source == g.target
+            and reference_compose(g, g).arcs == g.arcs
+            and not any(a.src == a.tgt and a.kind is ArcKind.STRICT for a in g.arcs)
+        ]
+        verdict = check_sct_criterion(gs)
+        assert verdict.sct == (not plain)
+        if plain:
+            g, w = plain[0]
+            assert verdict.failing_idempotent.graph.arcs == g.arcs
+            assert verdict.failing_idempotent.witness == w
+            assert verdict.lasso == LassoMultipath((), w)
+        return bool(plain)
+
     def test_failing_element_is_first_failing_idempotent(self):
-        """Against a plain scan of the reference closure, on arcs."""
         rng = random.Random(11)
-        failures = 0
-        for _ in range(200):
-            gs = random_graph_set(rng, max_funs=3, max_arity=3, max_graphs=3)
-            plain = [
-                (g, w)
-                for g, w in reference_closure(gs)
-                if g.source == g.target
-                and reference_compose(g, g).arcs == g.arcs
-                and not any(a.src == a.tgt and a.kind is ArcKind.STRICT for a in g.arcs)
-            ]
-            verdict = check_sct_criterion(gs)
-            assert verdict.sct == (not plain)
-            if plain:
-                failures += 1
-                g, w = plain[0]
-                assert verdict.failing_idempotent.graph.arcs == g.arcs
-                assert verdict.failing_idempotent.witness == w
-                assert verdict.lasso == LassoMultipath((), w)
+        failures = sum(
+            self.assert_verdict_matches_reference(
+                random_graph_set(rng, max_funs=3, max_arity=3, max_graphs=3)
+            )
+            for _ in range(200)
+        )
         assert failures > 20
+
+    def test_wide_sets_match_reference(self):
+        """Closure and verdict past 64 bits per row, against the references on arcs."""
+        rng = random.Random(13)
+        failures = 0
+        for _ in range(100):
+            gs = random_wide_graph_set(rng)
+            TestKernel.assert_closure_matches_reference(gs)
+            failures += self.assert_verdict_matches_reference(gs)
+        assert 10 < failures < 90
 
     def test_failing_idempotent_recheck_raises(self, swap_graphs, monkeypatch):
         # an explicit check, so it survives python -O, unlike a bare assert

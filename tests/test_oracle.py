@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from helpers import random_graph_set
+from helpers import random_graph_set, random_wide_graph_set
 from sct import (
     Arc,
     ArcKind,
@@ -15,11 +15,13 @@ from sct import (
     SizeChangeGraph,
     check_sct_criterion,
     closure,
+    compose,
     compose_all,
     decide_periodic_descent,
     idempotent_power,
 )
 from sct.oracle import OracleReport, bounded_lasso_oracle
+from sct.reduction import spp_reduction_family
 
 
 def reference_oracle(gs, max_len):
@@ -94,6 +96,40 @@ class TestEnumeration:
             gs = random_graph_set(rng)
             for max_len in range(1, 6):
                 assert bounded_lasso_oracle(gs, max_len) == reference_oracle(gs, max_len)
+
+    def test_wide_sets_match_reference(self):
+        """Rows past 64 bits: the row maps and the verdict memo against the reference."""
+        rng = random.Random(46)
+        refuted = 0
+        for _ in range(100):
+            gs = random_wide_graph_set(rng)
+            report = bounded_lasso_oracle(gs, 3)
+            assert report == reference_oracle(gs, 3)
+            refuted += report.refuted
+        assert 10 < refuted < 90
+
+    def test_spp_family_matches_reference(self):
+        # one function and 8 graphs: nearly every cyclic value is met before
+        report = bounded_lasso_oracle(spp_reduction_family(3), 4)
+        assert report == reference_oracle(spp_reduction_family(3), 4)
+        assert report.words_checked == 4680
+
+    def test_equal_rows_on_two_functions(self):
+        """Cyclic words at f and at g compose to equal rows; each keeps its own verdict."""
+        f, g = FunSig("f", ("x", "y")), FunSig("g", ("u", "v"))
+        nonstrict, strict = ArcKind.NONSTRICT, ArcKind.STRICT
+        gs = GraphSet.of(
+            (
+                SizeChangeGraph(f, g, (Arc(0, strict, 0), Arc(1, nonstrict, 1))),
+                SizeChangeGraph(g, f, (Arc(0, nonstrict, 0), Arc(1, nonstrict, 1))),
+                SizeChangeGraph(f, f, (Arc(0, nonstrict, 0), Arc(1, strict, 1))),
+                SizeChangeGraph(g, f, (Arc(0, nonstrict, 1), Arc(1, nonstrict, 0))),
+            )
+        )
+        a, b = gs.graphs[:2]
+        assert compose(a, b).rows == compose(b, a).rows
+        for max_len in range(1, 7):
+            assert bounded_lasso_oracle(gs, max_len) == reference_oracle(gs, max_len)
 
     def test_long_bound_needs_no_recursion(self):
         f = FunSig("f", ("x",))
