@@ -64,10 +64,6 @@ class State:
     fun: FunSig
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.values) != self.fun.arity:
-            raise ValueError(f"{self.fun.name} takes {self.fun.arity} values")
-
 
 @dataclass(frozen=True)
 class Transition:
@@ -180,8 +176,8 @@ def trace_transitions(
     """The call transitions taken while evaluating from state, in order.
 
     The list is truncated at max_len or at fuel exhaustion.  A state of a
-    function the program lacks, with another signature, or with negative
-    values raises ValueError.
+    function the program lacks, with another signature, with the wrong number
+    of values or with negative values raises ValueError.
     """
     out: list[Transition] = []
 

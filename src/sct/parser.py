@@ -33,7 +33,6 @@ from .syntax import (
     PRIM_OPS,
     Succ,
     Var,
-    label_program,
 )
 
 
@@ -132,7 +131,9 @@ class _Parser:
         self.tokens = list(_lex(text))
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
-        self.deferred_calls: list[tuple[str, int, int, int]] = []
+        # (callee token, argument count) per call, in document order; the
+        # index of a call here is its label
+        self.calls: list[tuple[_Token, int]] = []
         self.params: tuple[str, ...] = ()
 
     # -- token plumbing
@@ -181,23 +182,15 @@ class _Parser:
                 self.report(f"duplicate function name {d.sig.name!r}", header)
             else:
                 table[d.sig.name] = d.sig
-        for fun, nargs, line, col in self.deferred_calls:
-            sig = table.get(fun)
+        for tok, nargs in self.calls:
+            sig = table.get(tok.text)
             if sig is None:
-                self.diagnostics.append(
-                    Diagnostic(f"call to undefined function {fun!r}", line, col)
-                )
+                self.report(f"call to undefined function {tok.text!r}", tok)
             elif sig.arity != nargs:
-                self.diagnostics.append(
-                    Diagnostic(
-                        f"{fun} expects {sig.arity} argument(s), got {nargs}",
-                        line,
-                        col,
-                    )
-                )
+                self.report(f"{tok.text} expects {sig.arity} argument(s), got {nargs}", tok)
         if self.diagnostics:
             raise ValidationError(self.diagnostics)
-        return label_program(Program(tuple(defs)))
+        return Program(tuple(defs))
 
     def definition(self) -> tuple[FunDef, _Token]:
         header = self.expect("ident", "a function definition")
@@ -216,15 +209,17 @@ class _Parser:
         return FunDef(sig, self.cond_expr()), header
 
     def cond_expr(self) -> CondExpr:
-        if self.peek().kind == "if":
+        branches = []  # an else-if chain is read by a loop, not by recursion
+        while self.peek().kind == "if":
             self.advance()
             cond = self.bool_expr()
             self.expect("then", "'then'")
-            then = self.cond_expr()
+            branches.append((cond, self.cond_expr()))
             self.expect("else", "'else'")
-            orelse = self.cond_expr()
-            return If(cond, then, orelse)
-        return self.arith_expr()
+        body = self.arith_expr()
+        for cond, then in reversed(branches):
+            body = If(cond, then, body)
+        return body
 
     def bool_expr(self) -> BoolExpr:
         node = self.bool_and()
@@ -277,6 +272,9 @@ class _Parser:
         nxt = self.peek()
         if nxt.kind == "(":
             self.advance()
+            label = len(self.calls)  # a call precedes the calls in its arguments
+            if ident.text not in PRIM_OPS:
+                self.calls.append((ident, -1))  # the count is known after the arguments
             args: list[Expr] = []
             if self.peek().kind != ")":
                 args.append(self.arith_expr())
@@ -288,8 +286,8 @@ class _Parser:
                 if len(args) != 2:
                     self.report(f"{ident.text} expects 2 arguments, got {len(args)}", ident)
                 return PrimOp(ident.text, tuple(args))
-            self.deferred_calls.append((ident.text, len(args), ident.line, ident.col))
-            return Call(ident.text, tuple(args))
+            self.calls[label] = (ident, len(args))
+            return Call(ident.text, tuple(args), label)
         if nxt.kind in ("+", "-"):
             self.advance()
             lit = self.expect("number", "the literal 1")
@@ -349,16 +347,15 @@ def enumerate_call_sites(program: Program) -> list[CallSite]:
                 pass
 
     def walk_cond(c: CondExpr, caller: FunSig, ctx: GuardContext) -> None:
-        if isinstance(c, If):
+        while isinstance(c, If):  # along else-if chains without recursion
             walk_cond(c.then, caller, ctx | {(c.cond, True)})
-            walk_cond(c.orelse, caller, ctx | {(c.cond, False)})
-        else:
-            walk_expr(c, caller, ctx)
+            c, ctx = c.orelse, ctx | {(c.cond, False)}
+        walk_expr(c, caller, ctx)
 
     for d in program.defs:
         walk_cond(d.body, d.sig, frozenset())
     if [s.id for s in sites] != list(range(len(sites))):
-        raise ValueError("call sites are not labeled in document order (see label_program)")
+        raise ValueError("call sites are not labeled in document order")
     return sites
 
 

@@ -8,7 +8,6 @@ on parameter comparisons.  All values are naturals; x-1 is monus.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Union
 
@@ -122,29 +121,6 @@ class Program:
     defs: tuple[FunDef, ...]
 
 
-def label_program(program: Program) -> Program:
-    """Assign call-site labels in document order (pre-order, left to right)."""
-    counter = itertools.count()
-
-    def expr(e: Expr) -> Expr:
-        match e:
-            case Call(fun, args, _):
-                label = next(counter)  # parent before its arguments
-                return Call(fun, tuple(expr(a) for a in args), label)
-            case PrimOp(op, args):
-                return PrimOp(op, tuple(expr(a) for a in args))
-            case _:
-                return e
-
-    def cond(c: CondExpr) -> CondExpr:
-        if isinstance(c, If):
-            return If(c.cond, cond(c.then), cond(c.orelse))
-        return expr(c)
-
-    defs = tuple(FunDef(d.sig, cond(d.body)) for d in program.defs)
-    return Program(defs)
-
-
 # --- pretty printing ----------------------------------------------------------
 
 def format_expr(e: Expr) -> str:
@@ -187,10 +163,11 @@ def _format_bool(b: BoolExpr, parent: int) -> str:
 
 
 def format_cond(c: CondExpr) -> str:
-    if isinstance(c, If):
-        cond = _format_bool(c.cond, 0)
-        return f"if {cond} then {format_cond(c.then)} else {format_cond(c.orelse)}"
-    return format_expr(c)
+    parts = []
+    while isinstance(c, If):  # along else-if chains without recursion
+        parts.append(f"if {_format_bool(c.cond, 0)} then {format_cond(c.then)} else ")
+        c = c.orelse
+    return "".join(parts) + format_expr(c)
 
 
 def format_program(p: Program) -> str:

@@ -25,7 +25,6 @@ from .syntax import (
     Program,
     Succ,
     Var,
-    label_program,
 )
 
 
@@ -33,7 +32,7 @@ class SynthesisError(ValueError):
     """The graph set cannot be compiled (two sources feed one target parameter)."""
 
 
-def _branch_call(graph: SizeChangeGraph, params: tuple[str, ...], arity: int) -> Expr:
+def _branch_call(graph: SizeChangeGraph, params: tuple[str, ...], arity: int, label: int) -> Expr:
     incoming: dict[int, tuple[int, ArcKind]] = {}
     for a in graph.arcs:
         if a.tgt in incoming:
@@ -49,7 +48,7 @@ def _branch_call(graph: SizeChangeGraph, params: tuple[str, ...], arity: int) ->
         else:
             src, kind = entry
             args.append(Pred(params[src]) if kind is ArcKind.STRICT else Var(params[src]))
-    return Call(graph.target.name, tuple(args))
+    return Call(graph.target.name, tuple(args), label)
 
 
 def synthesize(gs: GraphSet) -> Program:
@@ -58,18 +57,17 @@ def synthesize(gs: GraphSet) -> Program:
         raise ValueError("cannot synthesize from an empty graph set")
     arity = max(sig.arity for sig in gs.sigs)
     params = tuple(f"x{j}" for j in range(arity))
-    defs = []
+    defs, offset = [], 0
     for sig in gs.sigs:
         outgoing = [g for g in gs.graphs if g.source == sig]
-        body: CondExpr
-        if not outgoing:
-            body = Var(params[0])
-        else:
-            body = _branch_call(outgoing[-1], params, arity)
-            for h in range(len(outgoing) - 2, -1, -1):
-                body = If(EqConst(params[0], h), _branch_call(outgoing[h], params, arity), body)
+        # branch h holds the body's h-th call, so its label is offset + h
+        calls = [_branch_call(g, params, arity, offset + h) for h, g in enumerate(outgoing)]
+        offset += len(calls)
+        body: CondExpr = calls.pop() if calls else Var(params[0])
+        for h in range(len(calls) - 1, -1, -1):
+            body = If(EqConst(params[0], h), calls[h], body)
         defs.append(FunDef(FunSig(sig.name, params), body))
-    return label_program(Program(tuple(defs)))
+    return Program(tuple(defs))
 
 
 def graph_multiset(graphs: Iterable[SizeChangeGraph]) -> Counter:

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sct import SourceError, enumerate_call_sites, parse_program
 from sct.cli import main
+from sct.syntax import format_program
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -76,6 +78,19 @@ def test_analyze(workdir, text):
     path = workdir / "program.sct"
     path.write_text(text, encoding="utf-8")
     assert_contract(["analyze", str(path)])
+
+
+@FUZZ
+@given(program_text())
+def test_labels_follow_document_order(text):
+    # a mislabeled call would only show as exit 2 above, so check the labels here
+    try:
+        program = parse_program(text)
+    except SourceError:
+        return
+    sites = enumerate_call_sites(program)
+    assert [s.id for s in sites] == list(range(len(sites)))
+    assert parse_program(format_program(program)) == program
 
 
 # --- graph-set JSON -----------------------------------------------------------

@@ -156,6 +156,19 @@ class TestConstructor:
         )
         assert narrow.strict_self_params() == (1,)
 
+    @pytest.mark.parametrize(
+        "sigs, names, message",
+        [
+            ((sig("f"),), (), "^need exactly one name per graph$"),
+            ((sig("f"), sig("f", 3)), ("a",), "^function names must be distinct$"),
+            ((sig("h"),), ("a",), "^graph endpoints must be drawn from the listed signatures$"),
+        ],
+    )
+    def test_graph_set_checks(self, sigs, names, message):
+        g = SizeChangeGraph(sig("f"), sig("f"), (Arc(0, ArcKind.STRICT, 1),))
+        with pytest.raises(ValueError, match=message):
+            GraphSet(sigs, (g,), names)
+
     def test_arcs_round_trip_in_any_order(self):
         rng = random.Random(8)
         for _ in range(2000):

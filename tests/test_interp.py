@@ -66,6 +66,19 @@ class TestEval:
         assert eval_program(p, "f", (3,), 10) == 1
         assert eval_program(p, "f", (2,), 10) == 0
 
+    @pytest.mark.parametrize(
+        "cond, values, expected",
+        [
+            ("x<y", (1, 2), 1),
+            ("x<y", (2, 2), 0),
+            ("x=0 || y=0", (3, 0), 1),
+            ("x=0 || y=0", (3, 5), 0),
+        ],
+    )
+    def test_less_than_and_disjunction(self, cond, values, expected):
+        p = parse_program(f"f(x, y) = if {cond} then 1 else 0")
+        assert eval_program(p, "f", values, 10) == expected
+
     def test_arity_check(self, ackermann):
         with pytest.raises(ValueError):
             eval_program(ackermann, "A", (1,), 10)
@@ -135,6 +148,11 @@ class TestTrace:
     def test_other_signature(self, ackermann):
         with pytest.raises(ValueError, match="signature does not match"):
             trace_transitions(ackermann, State(FunSig("A", ("m", "n")), (1, 1)), 10)
+
+    def test_wrong_length(self, ackermann):
+        state = State(ackermann.defs[0].sig, (1,))
+        with pytest.raises(ValueError, match=r"^A takes 2 argument\(s\), got 1$"):
+            trace_transitions(ackermann, state, 10)
 
     def test_negative_value(self, ackermann):
         sig = ackermann.defs[0].sig

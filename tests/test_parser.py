@@ -67,6 +67,15 @@ class TestParse:
         with pytest.raises(ValidationError, match="expects 1 argument"):
             parse_program("f(x) = f(x, x)")
 
+    def test_call_diagnostics_in_source_order(self):
+        with pytest.raises(ValidationError) as exc:
+            parse_program("f(x) = g(h(x), f(x, x))")
+        assert [(d.col, d.message) for d in exc.value.diagnostics] == [
+            (8, "call to undefined function 'g'"),
+            (10, "call to undefined function 'h'"),
+            (16, "f expects 1 argument(s), got 2"),
+        ]
+
     def test_duplicate_function(self):
         with pytest.raises(ValidationError, match="duplicate function"):
             parse_program("f(x) = x\nf(y) = y")
@@ -151,7 +160,7 @@ class TestGuards:
         assert enumerate_call_sites(parse_program("f(x) = plus(x, 1)")) == []
 
     def test_unlabeled_program_is_rejected(self):
-        # built without label_program, so the call keeps the default label -1
+        # built by hand, so the call keeps the default label -1
         f = FunSig("f", ("x",))
         program = Program((FunDef(f, Call("f", (Pred("x"),))),))
         with pytest.raises(ValueError, match="labeled"):

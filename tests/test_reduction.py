@@ -74,6 +74,19 @@ class TestChi:
         state = ChoiceState(2, (0, 1, 1))
         assert chi_step(state, 0).choices == (0, 1, 0)
 
+    @pytest.mark.parametrize(
+        "choices, message",
+        [((0, 1), "^need one choice per index set$"), ((0, 1, 2), r"^choice 2 is not in \(0, 1\)$")],
+    )
+    def test_choice_state_checks(self, choices, message):
+        with pytest.raises(ValueError, match=message):
+            ChoiceState(2, choices)
+
+    @pytest.mark.parametrize("color", [-1, 2])
+    def test_color_out_of_range(self, color):
+        with pytest.raises(ValueError, match=f"^color {color} out of range$"):
+            chi_step(initial_chi(2), color)
+
     def test_initial_state_picks_least_elements(self):
         assert initial_chi(3).choices == (0, 1, 2, 0, 0, 1, 0)
 

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -15,7 +16,9 @@ from sct import (
     parse_program,
     synthesize,
 )
+from sct.cli import main
 from sct.extract import Mode, extract_description
+from sct.jsonio import dumps, graph_set_to_json
 from sct.reduction import warmup_family
 from sct.syntax import format_program
 
@@ -89,3 +92,24 @@ class TestRoundTrip:
         for _ in range(40):
             program = synthesize(random_functional_graph_set(rng))
             assert parse_program(format_program(program)) == program
+
+    def test_long_chain_needs_no_recursion(self, tmp_path):
+        # one function with 1,100 outgoing graphs: an else-if chain longer than
+        # the default recursion limit, handled here under a limit of 400
+        f = FunSig("f", ("x", "y"))
+        shapes = [(Arc(0, ArcKind.STRICT, 0),), (Arc(0, ArcKind.NONSTRICT, 1),), ()]
+        gs = GraphSet.of(SizeChangeGraph(f, f, shapes[i % 3]) for i in range(1100))
+        path = tmp_path / "chain.json"
+        path.write_text(dumps(graph_set_to_json(gs)), encoding="utf-8")
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(400)
+        try:
+            text = format_program(synthesize(gs))
+            description = extract_description(parse_program(text), Mode.SYNTACTIC)
+            code = main(["synth", str(path), "-o", str(tmp_path / "chain.sct")])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert text.count("else") == 1099
+        assert graph_multiset(description.sites) == graph_multiset(gs.graphs)
+        assert code == 0
+        assert (tmp_path / "chain.sct").read_text(encoding="utf-8") == text
