@@ -1,90 +1,60 @@
-"""Size-change termination analysis for a first-order functional language."""
+"""Size-change termination analysis for a first-order functional language.
 
-from .colorings import EPColoring, PairColoring, StarWitness, pair_coloring_from_lasso, spp_witness, star_search
-from .extract import Description, Mode, arc_for_argument, extract_description, extract_graph
-from .graphs import (
-    Arc,
-    ArcKind,
-    Closure,
-    CompositionError,
-    DerivedGraph,
-    DescentWitness,
-    FunSig,
-    GraphSet,
-    LassoMultipath,
-    SizeChangeGraph,
-    Verdict,
-    check_sct_criterion,
-    closure,
-    compose,
-    compose_all,
-    decide_periodic_descent,
-    idempotent_power,
-    is_idempotent,
-)
-from .interp import (
-    Fuel,
-    OutOfFuel,
-    SafetyReport,
-    State,
-    Transition,
-    eval_program,
-    sample_safety,
-    trace_transitions,
-)
-from .oracle import OracleReport, bounded_lasso_oracle
-from .parser import (
-    CallSite,
-    Diagnostic,
-    GuardContext,
-    ParseError,
-    SourceError,
-    ValidationError,
-    enumerate_call_sites,
-    implies_positive,
-    parse_program,
-)
-from .reduction import (
-    ChoiceState,
-    IndexSet,
-    ReversalRun,
-    build_reversal_multipath,
-    chi_step,
-    family_signature,
-    graph_for,
-    index_sets,
-    initial_chi,
-    recurring_vs_active,
-    spp_reduction_family,
-    warmup_family,
-)
-from .synth import SynthesisError, graph_multiset, synthesize
-from .syntax import Program, format_program
+The public names are loaded on first use (PEP 562): ``import sct`` imports
+no submodule, and ``sct.closure`` imports ``sct.graphs`` the first time it
+is read.
+"""
 
-__all__ = [
-    # colorings
-    "EPColoring", "PairColoring", "StarWitness", "pair_coloring_from_lasso", "spp_witness",
-    "star_search",
-    # extract
-    "Description", "Mode", "arc_for_argument", "extract_description", "extract_graph",
-    # graphs
-    "Arc", "ArcKind", "Closure", "CompositionError", "DerivedGraph", "DescentWitness", "FunSig",
-    "GraphSet", "LassoMultipath", "SizeChangeGraph", "Verdict", "check_sct_criterion", "closure",
-    "compose", "compose_all", "decide_periodic_descent", "idempotent_power", "is_idempotent",
-    # interp
-    "Fuel", "OutOfFuel", "SafetyReport", "State", "Transition", "eval_program", "sample_safety",
-    "trace_transitions",
-    # oracle
-    "OracleReport", "bounded_lasso_oracle",
-    # parser
-    "CallSite", "Diagnostic", "GuardContext", "ParseError", "SourceError", "ValidationError",
-    "enumerate_call_sites", "implies_positive", "parse_program",
-    # reduction
-    "ChoiceState", "IndexSet", "ReversalRun", "build_reversal_multipath", "chi_step",
-    "family_signature", "graph_for", "index_sets", "initial_chi", "recurring_vs_active",
-    "spp_reduction_family", "warmup_family",
-    # synth
-    "SynthesisError", "graph_multiset", "synthesize",
-    # syntax
-    "Program", "format_program",
-]
+from __future__ import annotations
+
+from importlib import import_module
+
+# submodule -> the public names it defines
+_EXPORTS = {
+    "colorings": (
+        "EPColoring", "PairColoring", "StarWitness", "pair_coloring_from_lasso", "spp_witness",
+        "star_search",
+    ),
+    "extract": ("Description", "Mode", "arc_for_argument", "extract_description", "extract_graph"),
+    "graphs": (
+        "Arc", "ArcKind", "Closure", "CompositionError", "DerivedGraph", "DescentWitness",
+        "FunSig", "GraphSet", "LassoMultipath", "SizeChangeGraph", "Verdict",
+        "check_sct_criterion", "closure", "compose", "compose_all", "decide_periodic_descent",
+        "idempotent_power", "is_idempotent",
+    ),
+    "interp": (
+        "Fuel", "OutOfFuel", "SafetyReport", "State", "Transition", "eval_program",
+        "sample_safety", "trace_transitions",
+    ),
+    "oracle": ("OracleReport", "bounded_lasso_oracle"),
+    "parser": (
+        "CallSite", "Diagnostic", "GuardContext", "ParseError", "SourceError", "ValidationError",
+        "enumerate_call_sites", "implies_positive", "parse_program",
+    ),
+    "reduction": (
+        "ChoiceState", "IndexSet", "ReversalRun", "build_reversal_multipath", "chi_step",
+        "family_signature", "graph_for", "index_sets", "initial_chi", "recurring_vs_active",
+        "spp_reduction_family", "warmup_family",
+    ),
+    "synth": ("SynthesisError", "graph_multiset", "synthesize"),
+    "syntax": ("Program", "format_program"),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    # a name that is not public raises AttributeError, so `from sct import
+    # jsonio` goes on to import the submodule
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later reads skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

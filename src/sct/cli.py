@@ -5,6 +5,9 @@ non-terminating verdict (never an error) or an out-of-fuel run, 2 for input
 errors, 3 for an internal error (one "error: internal error: ..." line on
 stderr, never a traceback).  Reports are JSON on stdout and byte-stable for
 identical inputs.
+
+Each subcommand imports the modules it uses when it runs, so a process loads
+only those: ``graphs check`` never imports the parser or the interpreter.
 """
 
 from __future__ import annotations
@@ -13,23 +16,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import fixtures, jsonio
-from .colorings import EPColoring, PairColoring, star_search
-from .extract import Mode, extract_description
-from .graphs import check_sct_criterion, closure, decide_periodic_descent
-from .interp import OutOfFuel, eval_program
-from .oracle import bounded_lasso_oracle
-from .parser import SourceError, parse_program
-from .reduction import build_reversal_multipath, index_sets, spp_reduction_family
-from .synth import synthesize
-from .syntax import format_program
-
 
 class _InputError(Exception):
     pass
 
 
 def _read_program(path: str):
+    from .parser import SourceError, parse_program
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -41,6 +35,8 @@ def _read_program(path: str):
 
 
 def _read_graphs(path: str):
+    from . import jsonio
+
     try:
         return jsonio.load_graph_set_file(path)
     except OSError as exc:
@@ -57,11 +53,16 @@ def _write(text: str, out: str | None = None) -> None:
 
 
 def _emit(data: dict, out: str | None = None) -> None:
+    from . import jsonio
+
     _write(jsonio.dumps(data), out)
 
 
 def _verdict_report(gs) -> dict:
     """The criterion's verdict on gs as flat JSON, followed by closure_size."""
+    from . import jsonio
+    from .graphs import check_sct_criterion, closure
+
     if not gs.graphs:
         return {"sct": True, "closure_size": 0}
     cl = closure(gs)
@@ -80,6 +81,9 @@ def _emit_checked(out: dict, agrees: bool, code: int) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from . import jsonio
+    from .extract import Mode, extract_description
+
     program = _read_program(args.file)
     gs = extract_description(program, Mode(args.mode)).to_graph_set()
     report = {"mode": args.mode, **_verdict_report(gs)}
@@ -94,6 +98,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    from . import jsonio
+    from .extract import Mode, extract_description
+
     program = _read_program(args.file)
     description = extract_description(program, Mode(args.mode))
     _emit(jsonio.graph_set_to_json(description.to_graph_set()), args.output)
@@ -101,12 +108,17 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from .synth import synthesize
+    from .syntax import format_program
+
     program = synthesize(_read_graphs(args.file))
     _write(format_program(program), args.output)
     return 0
 
 
 def _cmd_run(args) -> int:
+    from .interp import OutOfFuel, eval_program
+
     program = _read_program(args.file)
     report = {"function": args.fun, "args": args.args, "fuel": args.fuel}
     try:
@@ -121,6 +133,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import jsonio
+    from .graphs import check_sct_criterion
+    from .oracle import bounded_lasso_oracle
+
     gs = _read_graphs(args.file)
     report = bounded_lasso_oracle(gs, args.max_word_len)
     out = jsonio.oracle_report_to_json(report, gs)
@@ -132,6 +148,9 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_graphs_check(args) -> int:
+    from . import jsonio
+    from .oracle import bounded_lasso_oracle
+
     gs = _read_graphs(args.file)
     out = _verdict_report(gs)
     agrees = True
@@ -154,11 +173,18 @@ def _parse_colors(text: str, what: str) -> tuple[int, ...]:
 
 
 def _cmd_spp_family(args) -> int:
+    from . import jsonio
+    from .reduction import spp_reduction_family
+
     _emit(jsonio.graph_set_to_json(spp_reduction_family(args.k)), args.output)
     return 0
 
 
 def _cmd_reversal(args) -> int:
+    from .colorings import EPColoring
+    from .graphs import decide_periodic_descent
+    from .reduction import build_reversal_multipath, index_sets
+
     coloring = EPColoring(
         args.k, _parse_colors(args.prefix, "--prefix"), _parse_colors(args.period, "--period")
     )
@@ -187,6 +213,8 @@ def _cmd_reversal(args) -> int:
 
 
 def _cmd_star(args) -> int:
+    from .colorings import PairColoring, star_search
+
     if args.pattern == "parity":
         coloring = PairColoring.from_function(args.k, args.n, lambda i, j: (j - i) % args.k)
     elif args.pattern == "constant":
@@ -221,6 +249,8 @@ def _cmd_star(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
+    from . import fixtures
+
     directory = Path(args.output)
     directory.mkdir(parents=True, exist_ok=True)
     written = []

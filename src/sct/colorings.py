@@ -8,14 +8,14 @@ initial segment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Optional
 
 from .graphs import GraphSet, LassoMultipath, SizeChangeGraph, _check_lasso, compose
+from .record import mutable_record, record
 
 
-@dataclass(frozen=True)
+@record
 class EPColoring:
     """Eventually periodic coloring of the naturals in k colors."""
 
@@ -40,7 +40,7 @@ def spp_witness(c: EPColoring) -> frozenset[int]:
     return frozenset(c.period)
 
 
-@dataclass
+@mutable_record
 class PairColoring:
     """A coloring of the pairs {(i, j): i < j < n} in k colors."""
 
@@ -65,7 +65,7 @@ class PairColoring:
         return self.values[(i, j)]
 
 
-@dataclass(frozen=True)
+@record
 class StarWitness:
     center: int
     color: int

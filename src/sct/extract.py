@@ -7,12 +7,12 @@ mode that inverts program synthesis exactly).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 from .graphs import Arc, ArcKind, GraphSet, SizeChangeGraph
 from .parser import CallSite, GuardContext, enumerate_call_sites, implies_positive
+from .record import record
 from .syntax import Expr, Pred, Program, Var
 
 
@@ -21,7 +21,7 @@ class Mode(Enum):
     SYNTACTIC = "syntactic"
 
 
-@dataclass(frozen=True)
+@record
 class Description:
     """One graph per call site, indexed by call-site id."""
 

@@ -9,9 +9,10 @@ by inspecting the idempotent elements of that semigroup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
+
+from .record import record
 
 
 class CompositionError(ValueError):
@@ -26,7 +27,7 @@ class ArcKind(Enum):
         return self.name
 
 
-@dataclass(frozen=True)
+@record
 class FunSig:
     """A function name together with its ordered parameter list."""
 
@@ -50,7 +51,7 @@ class FunSig:
             raise ValueError(f"{param!r} is not a parameter of {self.name}") from None
 
 
-@dataclass(frozen=True)
+@record
 class Arc:
     src: int
     kind: ArcKind
@@ -266,7 +267,7 @@ def idempotent_power(g: SizeChangeGraph) -> tuple[SizeChangeGraph, int]:
     raise AssertionError("no idempotent power within the semigroup bound")
 
 
-@dataclass(frozen=True)
+@record
 class GraphSet:
     """A finite indexed family of graphs over a shared set of signatures."""
 
@@ -340,7 +341,7 @@ class DerivedGraph:
         return tuple(reversed(word))
 
 
-@dataclass(frozen=True)
+@record
 class Closure:
     elements: tuple[DerivedGraph, ...]
 
@@ -394,7 +395,7 @@ def closure(gs: GraphSet) -> Closure:
     return Closure(tuple(dg for _, _, dg in order))
 
 
-@dataclass(frozen=True)
+@record
 class LassoMultipath:
     """An ultimately periodic multipath: a finite prefix word and a repeated period word."""
 
@@ -411,7 +412,7 @@ class LassoMultipath:
         return self.period[(position - len(self.prefix)) % len(self.period)]
 
 
-@dataclass(frozen=True)
+@record
 class DescentWitness:
     """The parameters that decrease strictly once per block of periods, forever.
 
@@ -424,7 +425,7 @@ class DescentWitness:
     block_len: int
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     """Outcome of the termination criterion.
 

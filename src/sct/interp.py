@@ -7,10 +7,10 @@ number of state transitions.  x-1 is monus: 0-1 = 0.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from .graphs import Arc, ArcKind, FunSig
+from .record import mutable_record, record
 from .syntax import (
     And,
     BoolExpr,
@@ -41,7 +41,7 @@ class _TraceLimit(Exception):
     pass
 
 
-@dataclass
+@mutable_record
 class Fuel:
     budget: int
 
@@ -59,13 +59,13 @@ def _as_fuel(fuel: Union[int, Fuel]) -> Fuel:
     return fuel if isinstance(fuel, Fuel) else Fuel(fuel)
 
 
-@dataclass(frozen=True)
+@record
 class State:
     fun: FunSig
     values: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Transition:
     source: State
     site: CallSiteId
@@ -181,12 +181,12 @@ def trace_transitions(
     """
     out: list[Transition] = []
 
-    def record(tr: Transition) -> None:
+    def keep(tr: Transition) -> None:
         out.append(tr)
         if max_len is not None and len(out) >= max_len:
             raise _TraceLimit()
 
-    ev = _Evaluator(program, _as_fuel(fuel), record)
+    ev = _Evaluator(program, _as_fuel(fuel), keep)
     if ev.enter(state.fun.name, state.values) != state.fun:
         raise ValueError(f"state signature does not match the program's {state.fun.name}")
     try:
@@ -196,7 +196,7 @@ def trace_transitions(
     return out
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     site: CallSiteId
     arc: Arc
@@ -204,11 +204,15 @@ class Violation:
     target: State
 
 
-@dataclass
+@mutable_record
 class SafetyReport:
-    violations: list[Violation] = field(default_factory=list)
+    violations: Optional[list[Violation]] = None  # a fresh empty list when omitted
     converged: int = 0
     skipped: int = 0
+
+    def __post_init__(self) -> None:
+        if self.violations is None:
+            self.violations = []
 
     @property
     def ok(self) -> bool:

@@ -108,6 +108,8 @@ def load_graph_set_file(path: Union[str, Path]) -> GraphSet:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError("", f"invalid JSON: {exc}") from None
+        except RecursionError:  # the decoder recurses once per nested array or object
+            raise SchemaError("", "invalid JSON: nested too deeply") from None
     return load_graph_set(data)
 
 

@@ -7,7 +7,6 @@ cross-validate the closure-based criterion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import (
@@ -17,9 +16,10 @@ from .graphs import (
     _RowMap,
     idempotent_power,
 )
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class OracleReport:
     counterexample: Optional[LassoMultipath]
     max_len: int

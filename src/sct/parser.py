@@ -8,10 +8,10 @@ also works); comments run from '#' to end of line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .graphs import FunSig
+from .record import record
 from .syntax import (
     And,
     BoolExpr,
@@ -40,7 +40,7 @@ class SourceError(Exception):
     """Base class for problems with program text."""
 
 
-@dataclass(frozen=True)
+@record
 class Diagnostic:
     message: str
     line: int
@@ -65,8 +65,20 @@ class ValidationError(SourceError):
 
 _KEYWORDS = {"if", "then", "else"}
 
+# The deepest nesting a program may use.  One level is a call's or an
+# operator's arguments, a then-branch, the operand of `!`, a parenthesized
+# condition, or an operand of `&&` or `||` (a chain of n operands nests n-1
+# deep, as it is built left-associated).  The parser, format_program, call
+# site enumeration, hashing and comparing conditions and the evaluator
+# recurse at most five frames per level, so each stays well inside Python's
+# default recursion limit of 1000.
+MAX_NESTING = 128
 
-@dataclass(frozen=True)
+# the binary connectives, loosest first
+_BINARY = (("||", Or), ("&&", And))
+
+
+@record
 class _Token:
     kind: str  # "ident", "number", "eof", or a punctuation string
     text: str
@@ -103,9 +115,9 @@ def _lex(text: str) -> Iterator[_Token]:
             col += j - i
             i = j
             continue
-        if c.isdigit():
+        if "0" <= c <= "9":  # ASCII only: str.isdigit also accepts '²'
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             yield _Token("number", text[i:j], line, start_col)
             col += j - i
@@ -135,6 +147,8 @@ class _Parser:
         # index of a call here is its label
         self.calls: list[tuple[_Token, int]] = []
         self.params: tuple[str, ...] = ()
+        # the nesting level being parsed, and the deepest level reached
+        self.depth = self.peak = 0
 
     # -- token plumbing
 
@@ -159,6 +173,13 @@ class _Parser:
 
     def report(self, message: str, tok: _Token) -> None:
         self.diagnostics.append(Diagnostic(message, tok.line, tok.col))
+
+    def nest(self, tok: _Token) -> None:
+        """Enter one more level of nesting at tok; the caller leaves it."""
+        self.depth += 1
+        self.peak = max(self.peak, self.depth)
+        if self.peak > MAX_NESTING:
+            raise ParseError(f"nested deeper than {MAX_NESTING} levels", tok.line, tok.col)
 
     # -- grammar
 
@@ -213,40 +234,46 @@ class _Parser:
         while self.peek().kind == "if":
             self.advance()
             cond = self.bool_expr()
-            self.expect("then", "'then'")
+            self.nest(self.expect("then", "'then'"))
             branches.append((cond, self.cond_expr()))
+            self.depth -= 1
             self.expect("else", "'else'")
         body = self.arith_expr()
         for cond, then in reversed(branches):
             body = If(cond, then, body)
         return body
 
-    def bool_expr(self) -> BoolExpr:
-        node = self.bool_and()
-        while self.peek().kind == "||":
-            self.advance()
-            node = Or(node, self.bool_and())
-        return node
-
-    def bool_and(self) -> BoolExpr:
-        node = self.bool_not()
-        while self.peek().kind == "&&":
-            self.advance()
-            node = And(node, self.bool_not())
+    def bool_expr(self, level: int = 0) -> BoolExpr:
+        """Operands joined by || (level 0) or && (level 1), associated to the left."""
+        if level == len(_BINARY):
+            return self.bool_not()
+        op, make = _BINARY[level]
+        outer, self.peak = self.peak, self.depth
+        node = self.bool_expr(level + 1)
+        while self.peek().kind == op:
+            tok = self.advance()
+            self.peak += 1  # the chain so far becomes the left operand, one level down
+            self.nest(tok)
+            node = make(node, self.bool_expr(level + 1))
+            self.depth -= 1
+        self.peak = max(outer, self.peak)
         return node
 
     def bool_not(self) -> BoolExpr:
         if self.peek().kind == "!":
-            self.advance()
-            return Not(self.bool_not())
+            self.nest(self.advance())
+            node = Not(self.bool_not())
+            self.depth -= 1
+            return node
         return self.bool_atom()
 
     def bool_atom(self) -> BoolExpr:
         tok = self.peek()
         if tok.kind == "(":
-            self.advance()
+            self.nest(self.advance())
             node = self.bool_expr()
             self.expect(")", "')'")
+            self.depth -= 1
             return node
         name = self.expect("ident", "a comparison").text
         self.check_param(name, tok)
@@ -271,7 +298,7 @@ class _Parser:
         ident = self.expect("ident", "an expression")
         nxt = self.peek()
         if nxt.kind == "(":
-            self.advance()
+            self.nest(self.advance())
             label = len(self.calls)  # a call precedes the calls in its arguments
             if ident.text not in PRIM_OPS:
                 self.calls.append((ident, -1))  # the count is known after the arguments
@@ -282,6 +309,7 @@ class _Parser:
                     self.advance()
                     args.append(self.arith_expr())
             self.expect(")", "')'")
+            self.depth -= 1
             if ident.text in PRIM_OPS:
                 if len(args) != 2:
                     self.report(f"{ident.text} expects 2 arguments, got {len(args)}", ident)
@@ -320,7 +348,7 @@ def parse_program(text: str) -> Program:
 GuardContext = frozenset[tuple[BoolExpr, bool]]
 
 
-@dataclass(frozen=True)
+@record
 class CallSite:
     id: CallSiteId
     caller: FunSig

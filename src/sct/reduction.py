@@ -12,14 +12,14 @@ I* = the set of colors that recur forever.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .colorings import EPColoring, spp_witness
 from .graphs import Arc, ArcKind, FunSig, GraphSet, LassoMultipath, SizeChangeGraph
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class IndexSet:
     """A nonempty set of colors; the ascending tuple doubles as its fixed enumeration."""
 
@@ -69,7 +69,7 @@ def family_signature(k: int) -> FunSig:
     return FunSig("f", tuple(s.param_name() for s in index_sets(k)))
 
 
-@dataclass(frozen=True)
+@record
 class ChoiceState:
     """One chosen color per index set, always a member of that set."""
 
@@ -173,7 +173,7 @@ def warmup_family() -> GraphSet:
     return GraphSet.of(graphs, names=("G0", "G1", "G2"))
 
 
-@dataclass(frozen=True)
+@record
 class ReversalRun:
     """An eventually periodic multipath driven by a coloring, cut at a state repeat."""
 

@@ -8,10 +8,10 @@ on parameter comparisons.  All values are naturals; x-1 is monus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .graphs import FunSig
+from .record import record
 
 CallSiteId = int
 
@@ -20,33 +20,33 @@ PRIM_OPS = ("plus", "times", "max", "min")  # all binary, total on the naturals
 
 # --- arithmetic expressions -------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Const:
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class Succ:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Pred:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class PrimOp:
     op: str
     args: tuple["Expr", ...]
 
 
-@dataclass(frozen=True)
+@record
 class Call:
     fun: str
     args: tuple["Expr", ...]
@@ -58,38 +58,38 @@ Expr = Union[Var, Const, Succ, Pred, PrimOp, Call]
 
 # --- boolean expressions ----------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class EqConst:
     # equality with a literal c >= 0; x=0 and x=1 are the cases c = 0 and c = 1
     param: str
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class Lt:
     left: str
     right: str
 
 
-@dataclass(frozen=True)
+@record
 class Le:
     left: str
     right: str
 
 
-@dataclass(frozen=True)
+@record
 class And:
     left: "BoolExpr"
     right: "BoolExpr"
 
 
-@dataclass(frozen=True)
+@record
 class Or:
     left: "BoolExpr"
     right: "BoolExpr"
 
 
-@dataclass(frozen=True)
+@record
 class Not:
     operand: "BoolExpr"
 
@@ -99,7 +99,7 @@ BoolExpr = Union[EqConst, Lt, Le, And, Or, Not]
 
 # --- conditionals, definitions, programs -------------------------------------
 
-@dataclass(frozen=True)
+@record
 class If:
     cond: BoolExpr
     then: "CondExpr"
@@ -110,13 +110,13 @@ class If:
 CondExpr = Union[Expr, If]
 
 
-@dataclass(frozen=True)
+@record
 class FunDef:
     sig: FunSig
     body: CondExpr
 
 
-@dataclass(frozen=True)
+@record
 class Program:
     defs: tuple[FunDef, ...]
 

@@ -114,7 +114,7 @@ class TestRun:
         def crash(*args):
             raise RecursionError("maximum recursion depth exceeded")
 
-        monkeypatch.setattr("sct.cli.eval_program", crash)
+        monkeypatch.setattr("sct.interp.eval_program", crash)
         assert main(["run", ack_file, "A", "2", "2"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""

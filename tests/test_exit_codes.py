@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from sct import SourceError, enumerate_call_sites, parse_program
 from sct.cli import main
+from sct.parser import MAX_NESTING
 from sct.syntax import format_program
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=150)
@@ -91,6 +92,77 @@ def test_labels_follow_document_order(text):
     sites = enumerate_call_sites(program)
     assert [s.id for s in sites] == list(range(len(sites)))
     assert parse_program(format_program(program)) == program
+
+
+# --- deep nesting -------------------------------------------------------------
+
+NESTINGS = ["arguments", "calls", "then", "not", "parens", "and", "or"]
+
+
+def nested_program(kind, levels):
+    """f nested levels deep by one kind of nesting; every call terminates."""
+    cond = {
+        "not": "!" * levels + "x=0",
+        "parens": "(" * levels + "x=0" + ")" * levels,
+        "and": " && ".join(["x=1"] * (levels + 1)),
+        "or": " || ".join(["x=0"] * (levels + 1)),
+    }.get(kind, "x=0")
+    body = {
+        "arguments": "plus(" * levels + "x" + ", 1)" * levels,
+        "calls": "g(" * levels + "x" + ")" * levels,
+        "then": "if x=0 then " * levels + "x" + " else 1" * levels,
+    }.get(kind, f"if {cond} then 0 else 1")
+    return f"f(x) = {body}\ng(y) = y\n"
+
+
+@pytest.mark.parametrize("kind", NESTINGS)
+def test_program_at_the_nesting_limit(workdir, kind):
+    path = workdir / f"{kind}.sct"
+    path.write_text(nested_program(kind, MAX_NESTING), encoding="utf-8")
+    with redirect_stdout(io.StringIO()):
+        assert main(["analyze", str(path)]) == 0
+        assert main(["run", str(path), "f", "1"]) == 0
+    program = parse_program(path.read_text(encoding="utf-8"))
+    assert parse_program(format_program(program)) == program
+    path.write_text(nested_program(kind, MAX_NESTING + 1), encoding="utf-8")
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert main(["analyze", str(path)]) == 2
+    assert f"nested deeper than {MAX_NESTING} levels" in err.getvalue()
+
+
+@st.composite
+def deep_program(draw):
+    """Up to 1,200 levels, past the depth at which each kind of nesting once crashed,
+    cycling through a few kinds so that they add up."""
+    kinds = draw(st.lists(st.sampled_from(NESTINGS), min_size=1, max_size=3, unique=True))
+    levels = draw(st.integers(1, 1200))
+    expr, cond, thens = "x", "x=0", 0
+    for i in range(levels):
+        kind = kinds[i % len(kinds)]
+        if kind == "arguments":
+            expr = f"plus({expr}, 1)"
+        elif kind == "calls":
+            expr = f"g({expr})"
+        elif kind == "then":
+            thens += 1
+        elif kind == "not":
+            cond = f"!{cond}"
+        elif kind == "parens":
+            cond = f"({cond})"
+        else:
+            cond += " && x=1" if kind == "and" else " || x=0"
+    body = "if x=0 then " * thens + f"if {cond} then {expr} else 1" + " else 0" * thens
+    return f"f(x) = {body}\ng(y) = y\n"
+
+
+@FUZZ
+@given(deep_program())
+def test_deep_nesting(workdir, text):
+    path = workdir / "deep.sct"
+    path.write_text(text, encoding="utf-8")
+    assert_contract(["analyze", str(path)])
+    assert_contract(["run", str(path), "f", "0", "--fuel", "1000"])
 
 
 # --- graph-set JSON -----------------------------------------------------------

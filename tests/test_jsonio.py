@@ -8,6 +8,7 @@ from sct.jsonio import (
     SchemaError,
     graph_set_to_json,
     load_graph_set,
+    load_graph_set_file,
     verdict_to_json,
 )
 
@@ -103,6 +104,15 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError) as exc:
             load_graph_set(data)
         assert exc.value.pointer == "/graphs"
+
+    @pytest.mark.parametrize("wrap", ["{}", '{{"functions": {}, "graphs": []}}'])
+    def test_nested_too_deeply(self, tmp_path, wrap):
+        path = tmp_path / "deep.json"
+        path.write_text(wrap.format("[" * 100_000 + "]" * 100_000), encoding="utf-8")
+        with pytest.raises(SchemaError) as exc:
+            load_graph_set_file(path)
+        assert (exc.value.pointer, exc.value.message) == ("", "invalid JSON: nested too deeply")
+        assert str(exc.value) == "/: invalid JSON: nested too deeply"
 
 
 class TestVerdictJson:

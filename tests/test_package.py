@@ -1,8 +1,22 @@
 import ast
+import copy
+import json
+import os
+import pickle
+import subprocess
+import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import sct
+from sct import colorings, extract, graphs, interp, oracle, parser, record, reduction, syntax
+from sct.fixtures import ackermann_graph_set
+from sct.graphs import Arc, ArcKind, FunSig, GraphSet, LassoMultipath, SizeChangeGraph
+from sct.interp import State
+from sct.jsonio import dumps, graph_set_to_json
+from sct.syntax import And, EqConst, Le, Lt, Not, Or
 
 # the benchmark, its independent reference and the test helpers
 OUTSIDE = {"perfbench", "reference", "helpers"}
@@ -29,4 +43,142 @@ def test_package_imports_neither_benchmark_nor_tests():
         for name in imported_modules(ast.parse(path.read_text(encoding="utf-8"))):
             seen.add(name)
             assert name.split(".")[0] not in OUTSIDE, (path.name, name)
-    assert {"graphs", "dataclasses"} <= seen  # the walk reads real imports
+    assert {"graphs", "json"} <= seen  # the walk reads real imports
+
+
+# --- start-up: what a process imports ------------------------------------------
+
+def run_python(code, *args, cwd=None):
+    src = str(Path(sct.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        cwd=cwd, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    return proc.stdout, proc.stderr
+
+
+# prints the loaded sct modules, and dataclasses if loaded, to stderr
+LOADED = (
+    "import sys; "
+    "print(*sorted(m for m in sys.modules if m.startswith(('sct', 'dataclasses'))), file=sys.stderr)"
+)
+
+
+def test_cli_import_loads_no_submodule():
+    _, err = run_python("import sct.cli; " + LOADED)
+    assert err.split() == ["sct", "sct.cli"]
+
+
+def test_graphs_check_loads_only_what_it_uses(tmp_path):
+    text = dumps(graph_set_to_json(ackermann_graph_set()))
+    (tmp_path / "ack.json").write_text(text, encoding="utf-8")
+    out, err = run_python(
+        "import sys; from sct.cli import main; main(sys.argv[1:]); " + LOADED,
+        "graphs", "check", "ack.json", "--oracle", "4", cwd=tmp_path,
+    )
+    assert json.loads(out)["sct"] is True
+    loaded = set(err.split())
+    assert {"sct.graphs", "sct.oracle", "sct.jsonio"} <= loaded
+    unused = {
+        "sct.parser", "sct.interp", "sct.extract", "sct.synth", "sct.reduction", "sct.colorings",
+    }
+    assert not loaded & unused
+    assert "dataclasses" not in loaded
+
+
+# --- record classes ---------------------------------------------------------------
+
+SIG = FunSig("f", ("x", "y"))
+GRAPH = SizeChangeGraph(SIG, SIG, (Arc(0, ArcKind.STRICT, 0),))
+GS = GraphSet((SIG,), (GRAPH,), ("g0",))
+LASSO = LassoMultipath((0,), (0,))
+STATE = State(SIG, (2, 1))
+COND = And(EqConst("x", 0), Or(Lt("x", "y"), Not(Le("y", "x"))))
+
+# one instance's fields per record class
+SAMPLES = {
+    syntax.Var: ("x",),
+    syntax.Const: (3,),
+    syntax.Succ: ("x",),
+    syntax.Pred: ("y",),
+    syntax.PrimOp: ("plus", (syntax.Var("x"), syntax.Const(1))),
+    syntax.Call: ("f", (syntax.Pred("x"), syntax.Var("y")), 0),
+    EqConst: ("x", 2),
+    Lt: ("x", "y"),
+    Le: ("y", "x"),
+    And: (EqConst("x", 0), Lt("x", "y")),
+    Or: (Lt("x", "y"), EqConst("y", 1)),
+    Not: (COND,),
+    syntax.If: (COND, syntax.Var("x"), syntax.Const(0)),
+    syntax.FunDef: (SIG, syntax.Var("y")),
+    syntax.Program: ((syntax.FunDef(SIG, syntax.Var("y")),),),
+    FunSig: ("f", ("x", "y")),
+    Arc: (1, ArcKind.NONSTRICT, 0),
+    GraphSet: ((SIG,), (GRAPH,), ("g0",)),
+    graphs.Closure: ((),),
+    LassoMultipath: ((), (0, 0)),
+    graphs.DescentWitness: ((0,), 1, 2),
+    graphs.Verdict: (False, None, LASSO),
+    interp.Fuel: (7,),
+    State: (SIG, (0, 4)),
+    interp.Transition: (STATE, 0, State(SIG, (1, 1))),
+    interp.Violation: (0, Arc(0, ArcKind.STRICT, 0), STATE, STATE),
+    interp.SafetyReport: ([], 3, 1),
+    oracle.OracleReport: (LASSO, 4, 10),
+    parser.Diagnostic: ("unknown parameter 'z'", 1, 9),
+    parser._Token: ("ident", "x", 2, 5),
+    parser.CallSite: (0, SIG, SIG, (syntax.Var("x"), syntax.Var("y")), frozenset({(COND, True)})),
+    reduction.IndexSet: ((0, 2),),
+    reduction.ChoiceState: (2, reduction.initial_chi(2).choices),
+    reduction.ReversalRun: (LASSO, GS, (frozenset({reduction.IndexSet((0,))}),) * 2),
+    colorings.EPColoring: (2, (1,), (0, 1)),
+    colorings.PairColoring: (2, 3, {(0, 1): 0, (0, 2): 1, (1, 2): 1}),
+    colorings.StarWitness: (0, 1, ((1, 2),)),
+    extract.Description: ((GRAPH,),),
+}
+MUTABLE = {interp.Fuel, interp.SafetyReport, colorings.PairColoring}
+
+
+def record_classes():
+    for module in (syntax, graphs, interp, oracle, parser, reduction, colorings, extract):
+        for value in vars(module).values():
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                if getattr(value, "__reduce__", None) is record._reduce:
+                    yield value
+
+
+def test_samples_cover_every_record_class():
+    assert set(record_classes()) == set(SAMPLES)
+
+
+def test_equality_needs_the_same_class():
+    assert syntax.Var("x") != syntax.Succ("x") and Lt("x", "y") != Le("x", "y")
+    assert syntax.Call("f", ()) == syntax.Call("f", (), -1) != syntax.Call("f", (), 0)
+
+
+@pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__name__)
+def test_record_behaviour(cls):
+    fields, args = cls.__match_args__, SAMPLES[cls]
+    assert len(fields) == len(args)
+    a, b = cls(*args), cls(**dict(zip(fields, args)))
+    assert a == b and not a != b
+    assert tuple(getattr(a, f) for f in fields) == args
+    assert repr(a) == f"{cls.__name__}({', '.join(f'{f}={v!r}' for f, v in zip(fields, args))})"
+    for again in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(again) is cls and again == a
+    if cls in MUTABLE:
+        with pytest.raises(TypeError):
+            hash(a)
+        setattr(a, fields[0], args[0])
+    else:
+        assert hash(a) == hash(b) == hash(args)
+        with pytest.raises(AttributeError):
+            setattr(a, fields[0], args[0])
+        with pytest.raises(AttributeError):
+            delattr(a, fields[0])
+    match a:
+        case cls(first):  # noqa: F841 - one positional subpattern, through __match_args__
+            assert first is args[0]
+        case _:
+            raise AssertionError("no match")

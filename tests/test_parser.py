@@ -13,6 +13,7 @@ from sct import (
     parse_program,
     synthesize,
 )
+from sct.parser import MAX_NESTING
 from sct.syntax import (
     And,
     Call,
@@ -96,6 +97,28 @@ class TestParse:
         with pytest.raises(ParseError) as exc:
             parse_program("f(x) = if x=0 then x")
         assert exc.value.line == 1
+
+    def test_only_ascii_digits_are_numbers(self):
+        # '²' passes str.isdigit, but int() rejects it
+        with pytest.raises(ParseError, match="unexpected character '²'") as exc:
+            parse_program("f(x) = if x=² then 0 else x")
+        assert (exc.value.line, exc.value.col) == (1, 13)
+
+    @pytest.mark.parametrize(
+        "text, col",
+        [
+            # the call's '(' past the last plus, the last '!', the last '||'
+            ("f(x) = " + "plus(x, " * MAX_NESTING + "f(x)" + ")" * MAX_NESTING, 9 + 8 * MAX_NESTING),
+            ("f(x) = if " + "!" * (MAX_NESTING + 1) + "x=0 then 0 else 1", 11 + MAX_NESTING),
+            ("f(x) = if x=0" + " || x=0" * (MAX_NESTING + 1) + " then 0 else 1",
+             15 + 7 * MAX_NESTING),
+        ],
+        ids=["arguments", "not", "or"],
+    )
+    def test_nesting_limit_position(self, text, col):
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING} levels") as exc:
+            parse_program(text)
+        assert (exc.value.line, exc.value.col) == (1, col)
 
     def test_suffix_literal_must_be_one(self):
         with pytest.raises(ParseError, match="[+]1"):
