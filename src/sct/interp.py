@@ -1,12 +1,24 @@
 """Fueled call-by-value evaluation over the naturals, with transition tracing.
 
 Fuel is spent once per function-call entry, so a fuel budget bounds the
-number of state transitions.  x-1 is monus: 0-1 = 0.
+number of state transitions.  It is the only bound: calls run on an explicit
+list of frames, not on Python's stack.  x-1 is monus: 0-1 = 0.
+
+Each function is compiled on its first entry.  Its else-if chain becomes a
+chain of condition closures over the argument tuple, with parameters resolved
+to indices, that selects a leaf:
+
+- a call-free leaf is one closure that computes the value;
+- a call with call-free arguments is a tail step, which reuses the frame;
+- any other leaf is a short postfix code of values, primitive operators and
+  calls.  A call before the code's end saves the frame; its last call is a
+  tail step.
 """
 
 from __future__ import annotations
 
 import random
+from operator import itemgetter
 from typing import Callable, Optional, Union
 
 from .graphs import Arc, ArcKind, FunSig
@@ -79,79 +91,249 @@ _PRIM_IMPL: dict[str, Callable[[int, int], int]] = {
     "min": min,
 }
 
+# leaf kinds: (_VALUE, value), (_TAIL, arguments, label, callee), (_CODE, code)
+_VALUE, _TAIL, _CODE = 0, 1, 2
+# postfix instructions, each (op, x, label, k):
+#   _PUSH      push x(args)
+#   _PRIM      replace the top k values by x applied to them
+#   _CALL_ARGS call x on k(args), saving the frame
+#   _CALL      call x on the top k values, saving the frame
+#   _TAIL_CALL call x on every value left, in place of the frame
+#   _RETURN    return the one value left
+_PUSH, _PRIM, _CALL_ARGS, _CALL, _TAIL_CALL, _RETURN = range(6)
 
-class _Evaluator:
-    def __init__(
-        self,
-        program: Program,
-        fuel: Fuel,
-        on_transition: Optional[Callable[[Transition], None]] = None,
-    ):
-        self.defs = {d.sig.name: d for d in program.defs}
-        self.fuel = fuel
-        self.on_transition = on_transition
+# the hook's arguments: source signature, its values, the call site's label,
+# target signature and the argument values
+_Hook = Callable[[FunSig, tuple, CallSiteId, FunSig, tuple], None]
 
-    def enter(self, name: str, values: tuple[int, ...]) -> FunSig:
+
+class _Fun:
+    """One function of a compiled program; ``select`` maps arguments to a leaf."""
+
+    __slots__ = ("sig", "select")
+
+    def __init__(self, sig: FunSig, select) -> None:
+        self.sig, self.select = sig, select
+
+
+def _has_call(e: Expr) -> bool:
+    return isinstance(e, Call) or isinstance(e, PrimOp) and any(map(_has_call, e.args))
+
+
+def _tuple_of(fs: list) -> Callable[[tuple], tuple]:
+    if len(fs) == 1:
+        f0, = fs
+        return lambda a: (f0(a),)
+    if len(fs) == 2:
+        f0, f1 = fs
+        return lambda a: (f0(a), f1(a))
+    if len(fs) == 3:
+        f0, f1, f2 = fs
+        return lambda a: (f0(a), f1(a), f2(a))
+    return lambda a: tuple([f(a) for f in fs])
+
+
+class _Compiled:
+    """A program's functions, each compiled on its first entry.
+
+    Programs are taken as valid, as the parser and ``synthesize`` build them.
+    """
+
+    def __init__(self, program: Program) -> None:
+        defs = {d.sig.name: d for d in program.defs}
+        self.funs = {name: self._lazy(d.sig, d.body) for name, d in defs.items()}
+
+    def _lazy(self, sig: FunSig, body: CondExpr) -> _Fun:
+        def first_entry(args):
+            fn.select = self._chain(body, {p: i for i, p in enumerate(sig.params)})
+            return fn.select(args)
+
+        fn = _Fun(sig, first_entry)
+        return fn
+
+    def enter(self, name: str, values: tuple[int, ...]) -> _Fun:
         """Check a call from outside the program; the validator checked those inside."""
-        d = self.defs.get(name)
-        if d is None:
+        fn = self.funs.get(name)
+        if fn is None:
             raise ValueError(f"no function named {name!r}")
         if any(v < 0 for v in values):
             raise ValueError(f"arguments must be natural numbers, got {list(values)}")
-        if len(values) != d.sig.arity:
-            raise ValueError(f"{name} takes {d.sig.arity} argument(s), got {len(values)}")
-        return d.sig
+        if len(values) != fn.sig.arity:
+            raise ValueError(f"{name} takes {fn.sig.arity} argument(s), got {len(values)}")
+        return fn
 
-    def call(self, name: str, values: tuple[int, ...]) -> int:
-        d = self.defs[name]
-        self.fuel.spend()
-        env = dict(zip(d.sig.params, values))
-        return self.cond(d.body, env, d.sig, values)
+    # --- conditions: the else-if chain as a loop, a then-branch as a nested chain
 
-    def cond(self, c: CondExpr, env, sig, values) -> int:
+    def _chain(self, c: CondExpr, index: dict[str, int]) -> Callable[[tuple], tuple]:
+        conds, branches = [], []
         while isinstance(c, If):
-            c = c.then if self.boolean(c.cond, env) else c.orelse
-        return self.expr(c, env, sig, values)
+            conds.append(c.cond)
+            nested = isinstance(c.then, If)
+            branches.append(self._chain(c.then, index) if nested else self._leaf(c.then, index))
+            c = c.orelse
+        last = self._leaf(c, index)
+        if not conds:
+            return lambda a: last
+        tested = {index[b.param] if isinstance(b, EqConst) else -1 for b in conds}
+        if len(tested) == 1 and -1 not in tested and all(isinstance(b, tuple) for b in branches):
+            # one parameter against constants, as synthesis builds chains: one
+            # lookup of its value, where the first test of a constant wins
+            table: dict[int, tuple] = {}
+            for b, branch in zip(conds, branches):
+                table.setdefault(b.value, branch)
+            i, = tested
+            return lambda a: table.get(a[i], last)
+        pairs = tuple((self._test(b, index), branch) for b, branch in zip(conds, branches))
 
-    def boolean(self, b: BoolExpr, env) -> bool:
+        def select(a):
+            for test, branch in pairs:
+                if test(a):
+                    return branch if branch.__class__ is tuple else branch(a)
+            return last
+
+        return select
+
+    def _test(self, b: BoolExpr, index: dict[str, int]) -> Callable[[tuple], bool]:
         match b:
             case EqConst(p, v):
-                return env[p] == v
+                i = index[p]
+                return lambda a: a[i] == v
             case Lt(l, r):
-                return env[l] < env[r]
+                i, j = index[l], index[r]
+                return lambda a: a[i] < a[j]
             case Le(l, r):
-                return env[l] <= env[r]
+                i, j = index[l], index[r]
+                return lambda a: a[i] <= a[j]
             case And(l, r):
-                return self.boolean(l, env) and self.boolean(r, env)
+                lf, rf = self._test(l, index), self._test(r, index)
+                return lambda a: lf(a) and rf(a)
             case Or(l, r):
-                return self.boolean(l, env) or self.boolean(r, env)
+                lf, rf = self._test(l, index), self._test(r, index)
+                return lambda a: lf(a) or rf(a)
             case Not(operand):
-                return not self.boolean(operand, env)
+                f = self._test(operand, index)
+                return lambda a: not f(a)
         raise TypeError(b)
 
-    def expr(self, e: Expr, env, sig, values) -> int:
+    # --- leaves
+
+    def _leaf(self, e: Expr, index: dict[str, int]) -> tuple:
+        if not _has_call(e):
+            return (_VALUE, self._value(e, index))
+        if isinstance(e, Call) and not any(map(_has_call, e.args)):
+            return (_TAIL, self._args(e.args, index), e.label, self.funs[e.fun])
+        code: list[tuple] = []
+        self._emit(e, index, code)
+        op, callee, label, _ = code[-1]
+        if op == _CALL:
+            code[-1] = (_TAIL_CALL, callee, label, None)
+        else:
+            code.append((_RETURN, None, None, None))
+        return (_CODE, tuple(code))
+
+    def _emit(self, e: Expr, index: dict[str, int], code: list[tuple]) -> None:
+        """Append the postfix code of e, which leaves e's value on the stack."""
+        if not _has_call(e):
+            code.append((_PUSH, self._value(e, index), None, None))
+        elif isinstance(e, Call):
+            if any(map(_has_call, e.args)):
+                for a in e.args:
+                    self._emit(a, index, code)
+                code.append((_CALL, self.funs[e.fun], e.label, len(e.args)))
+            else:
+                code.append((_CALL_ARGS, self.funs[e.fun], e.label, self._args(e.args, index)))
+        else:  # a PrimOp with a call among its arguments
+            for a in e.args:
+                self._emit(a, index, code)
+            code.append((_PRIM, _PRIM_IMPL[e.op], None, len(e.args)))
+
+    def _args(self, args: tuple[Expr, ...], index: dict[str, int]) -> Callable[[tuple], tuple]:
+        return _tuple_of([self._value(a, index) for a in args])
+
+    def _value(self, e: Expr, index: dict[str, int]) -> Callable[[tuple], int]:
+        """The closure computing call-free e from the argument tuple."""
         match e:
             case Var(name):
-                return env[name]
+                return itemgetter(index[name])
             case Const(value):
-                return value
+                return lambda a: value
             case Succ(name):
-                return env[name] + 1
+                i = index[name]
+                return lambda a: a[i] + 1
             case Pred(name):
-                v = env[name]
-                return v - 1 if v > 0 else 0
+                i = index[name]
+                return lambda a: a[i] - 1 if a[i] > 0 else 0
             case PrimOp(op, args):
-                argv = [self.expr(a, env, sig, values) for a in args]
-                return _PRIM_IMPL[op](*argv)
-            case Call(fun, args, label):
-                argv = tuple(self.expr(a, env, sig, values) for a in args)
-                if self.on_transition is not None:
-                    callee = self.defs[fun].sig
-                    self.on_transition(
-                        Transition(State(sig, values), label, State(callee, argv))
-                    )
-                return self.call(fun, argv)
+                f, fs = _PRIM_IMPL[op], [self._value(x, index) for x in args]
+                if len(fs) == 2:
+                    f0, f1 = fs
+                    return lambda a: f(f0(a), f1(a))
+                return lambda a: f(*[g(a) for g in fs])
         raise TypeError(e)
+
+
+def _run(fn: _Fun, args: tuple, fuel: Fuel, hook: Optional[_Hook]) -> int:
+    """Enter fn on args and run until it returns.
+
+    A frame is (function, arguments, code, next instruction, value stack).
+    Fuel is spent on every entry, after the hook has seen the transition.
+    """
+    budget = fuel.budget
+    frames: list[tuple] = []
+    try:
+        if budget <= 0:
+            raise OutOfFuel()
+        budget -= 1
+        while True:
+            leaf = fn.select(args)
+            kind = leaf[0]
+            if kind == _TAIL:
+                _, argf, label, callee = leaf
+                argv = argf(args)
+            else:
+                if kind == _VALUE:
+                    value = leaf[1](args)
+                    if not frames:
+                        return value
+                    fn, args, code, pc, stack = frames.pop()
+                    stack.append(value)
+                else:
+                    code, pc, stack = leaf[1], 0, []
+                while True:
+                    op, x, label, k = code[pc]
+                    pc += 1
+                    if op == _PUSH:
+                        stack.append(x(args))
+                    elif op == _CALL_ARGS:
+                        callee, argv = x, k(args)
+                        frames.append((fn, args, code, pc, stack))
+                        break
+                    elif op == _TAIL_CALL:
+                        callee, argv = x, tuple(stack)
+                        break
+                    elif op == _CALL:
+                        callee, argv = x, tuple(stack[-k:])
+                        del stack[-k:]
+                        frames.append((fn, args, code, pc, stack))
+                        break
+                    elif op == _PRIM:
+                        operands = stack[-k:]
+                        del stack[-k:]
+                        stack.append(x(*operands))
+                    else:  # _RETURN
+                        value = stack[0]
+                        if not frames:
+                            return value
+                        fn, args, code, pc, stack = frames.pop()
+                        stack.append(value)
+            if hook is not None:
+                hook(fn.sig, args, label, callee.sig, argv)
+            if budget <= 0:
+                raise OutOfFuel()
+            budget -= 1
+            fn, args = callee, argv
+    finally:
+        fuel.budget = budget
 
 
 def eval_program(
@@ -162,9 +344,8 @@ def eval_program(
     An unknown function, negative arguments or a wrong argument count raise
     ValueError.
     """
-    ev, values = _Evaluator(program, _as_fuel(fuel)), tuple(args)
-    ev.enter(fun, values)
-    return ev.call(fun, values)
+    fuel, values = _as_fuel(fuel), tuple(args)
+    return _run(_Compiled(program).enter(fun, values), values, fuel, None)
 
 
 def trace_transitions(
@@ -181,16 +362,17 @@ def trace_transitions(
     """
     out: list[Transition] = []
 
-    def keep(tr: Transition) -> None:
-        out.append(tr)
+    def keep(source: FunSig, values: tuple, site: CallSiteId, target: FunSig, argv: tuple) -> None:
+        out.append(Transition(State(source, values), site, State(target, argv)))
         if max_len is not None and len(out) >= max_len:
             raise _TraceLimit()
 
-    ev = _Evaluator(program, _as_fuel(fuel), keep)
-    if ev.enter(state.fun.name, state.values) != state.fun:
+    fuel = _as_fuel(fuel)
+    fn = _Compiled(program).enter(state.fun.name, state.values)
+    if fn.sig != state.fun:
         raise ValueError(f"state signature does not match the program's {state.fun.name}")
     try:
-        ev.call(state.fun.name, state.values)
+        _run(fn, state.values, fuel, keep)
     except (OutOfFuel, _TraceLimit):
         pass
     return out
@@ -219,6 +401,17 @@ class SafetyReport:
         return not self.violations
 
 
+def _arc_checks(graph) -> tuple[tuple[int, int, bool], ...]:
+    """(source, target, strict) per arc of graph, in the order of its arcs."""
+    n = graph.target.arity
+    return tuple(
+        (s, t, bool(r >> (t + n) & 1))
+        for s, r in enumerate(graph.rows)
+        for t in range(n)
+        if r >> t & 1
+    )
+
+
 def sample_safety(
     program: Program,
     description,
@@ -235,22 +428,26 @@ def sample_safety(
     """
     rng = random.Random(seed)
     report = SafetyReport()
+    violations = report.violations
+    checks: dict[CallSiteId, tuple] = {}  # per call site, built on its first transition
+
+    def check(source: FunSig, values: tuple, site: CallSiteId, target: FunSig, argv: tuple) -> None:
+        arcs = checks.get(site)
+        if arcs is None:
+            arcs = checks[site] = _arc_checks(description[site])
+        for s, t, strict in arcs:
+            u, v = values[s], argv[t]
+            if u < v or strict and u == v:
+                arc = Arc(s, ArcKind.STRICT if strict else ArcKind.NONSTRICT, t)
+                violations.append(Violation(site, arc, State(source, values), State(target, argv)))
+
+    compiled = _Compiled(program)
     for _ in range(trials):
         d = rng.choice(program.defs)
         values = tuple(rng.randint(0, value_bound) for _ in d.sig.params)
-        transitions: list[Transition] = []
-        ev = _Evaluator(program, Fuel(fuel), transitions.append)
         try:
-            ev.call(d.sig.name, values)
+            _run(compiled.funs[d.sig.name], values, Fuel(fuel), check)
             report.converged += 1
         except OutOfFuel:
             report.skipped += 1
-        for tr in transitions:
-            graph = description[tr.site]
-            for arc in graph.arcs:
-                u = tr.source.values[arc.src]
-                v = tr.target.values[arc.tgt]
-                ok = u > v if arc.kind is ArcKind.STRICT else u >= v
-                if not ok:
-                    report.violations.append(Violation(tr.site, arc, tr.source, tr.target))
     return report

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .graphs import (
     Arc,
@@ -23,7 +23,9 @@ from .graphs import (
     SizeChangeGraph,
     Verdict,
 )
-from .oracle import OracleReport
+
+if TYPE_CHECKING:  # only annotations name it, so no subcommand loads the oracle for it
+    from .oracle import OracleReport
 
 
 class SchemaError(ValueError):

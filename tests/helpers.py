@@ -1,10 +1,28 @@
-"""Seeded random generators shared across the test modules."""
+"""Seeded random generators and plain references shared across the test modules."""
 
 from __future__ import annotations
 
+import operator
 import random
 
 from sct import Arc, ArcKind, CompositionError, FunSig, GraphSet, SizeChangeGraph
+from sct.interp import Fuel, OutOfFuel, SafetyReport, State, Transition, Violation
+from sct.syntax import (
+    And,
+    Call,
+    Const,
+    EqConst,
+    If,
+    Le,
+    Lt,
+    Not,
+    Or,
+    Pred,
+    PrimOp,
+    Program,
+    Succ,
+    Var,
+)
 
 
 def random_sigs(rng: random.Random, max_funs: int, max_arity: int) -> list[FunSig]:
@@ -142,3 +160,102 @@ def reference_closure(gs: GraphSet) -> list[tuple[SizeChangeGraph, tuple[int, ..
             if g.target == base.source:
                 visit(reference_compose(g, base), word + (j,))
     return order
+
+
+REFERENCE_PRIMS = {"plus": operator.add, "times": operator.mul, "max": max, "min": min}
+
+
+def reference_run(program: Program, fun: str, values: tuple, fuel: Fuel, on_transition=None) -> int:
+    """Evaluate fun on values by walking the tree, one Python call per interpreted call.
+
+    The plain reference for the compiled interpreter: fuel is spent on every
+    call entry, after on_transition has seen the call's `Transition`.
+    """
+    defs = {d.sig.name: d for d in program.defs}
+
+    def call(name: str, values: tuple) -> int:
+        fuel.spend()
+        d = defs[name]
+        env = dict(zip(d.sig.params, values))
+        c = d.body
+        while isinstance(c, If):
+            c = c.then if holds(c.cond, env) else c.orelse
+        return expr(c, env, d.sig, values)
+
+    def holds(b, env) -> bool:
+        match b:
+            case EqConst(p, v):
+                return env[p] == v
+            case Lt(l, r):
+                return env[l] < env[r]
+            case Le(l, r):
+                return env[l] <= env[r]
+            case And(l, r):
+                return holds(l, env) and holds(r, env)
+            case Or(l, r):
+                return holds(l, env) or holds(r, env)
+            case Not(operand):
+                return not holds(operand, env)
+        raise TypeError(b)
+
+    def expr(e, env, sig, values) -> int:
+        match e:
+            case Var(p):
+                return env[p]
+            case Const(v):
+                return v
+            case Succ(p):
+                return env[p] + 1
+            case Pred(p):
+                return max(env[p] - 1, 0)
+            case PrimOp(op, args):
+                return REFERENCE_PRIMS[op](*[expr(a, env, sig, values) for a in args])
+            case Call(f, args, label):
+                argv = tuple(expr(a, env, sig, values) for a in args)
+                if on_transition is not None:
+                    on_transition(Transition(State(sig, values), label, State(defs[f].sig, argv)))
+                return call(f, argv)
+        raise TypeError(e)
+
+    return call(fun, tuple(values))
+
+
+class _Enough(Exception):
+    pass
+
+
+def reference_trace(program: Program, state: State, fuel: Fuel, max_len=None) -> list[Transition]:
+    """`trace_transitions` by `reference_run`."""
+    out: list[Transition] = []
+
+    def keep(tr: Transition) -> None:
+        out.append(tr)
+        if max_len is not None and len(out) >= max_len:
+            raise _Enough()
+
+    try:
+        reference_run(program, state.fun.name, state.values, fuel, keep)
+    except (OutOfFuel, _Enough):
+        pass
+    return out
+
+
+def reference_safety(program: Program, description, trials, value_bound, fuel, seed=0) -> SafetyReport:
+    """`sample_safety` by `reference_run`: each trial runs, then its transitions are checked."""
+    rng = random.Random(seed)
+    report = SafetyReport()
+    for _ in range(trials):
+        d = rng.choice(program.defs)
+        values = tuple(rng.randint(0, value_bound) for _ in d.sig.params)
+        transitions: list[Transition] = []
+        try:
+            reference_run(program, d.sig.name, values, Fuel(fuel), transitions.append)
+            report.converged += 1
+        except OutOfFuel:
+            report.skipped += 1
+        for tr in transitions:
+            for arc in description[tr.site].arcs:
+                u, v = tr.source.values[arc.src], tr.target.values[arc.tgt]
+                if not (u > v if arc.kind is ArcKind.STRICT else u >= v):
+                    report.violations.append(Violation(tr.site, arc, tr.source, tr.target))
+    return report

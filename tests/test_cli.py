@@ -101,6 +101,12 @@ class TestRun:
     def test_wrong_arity(self, capsys, ack_file):
         assert main(["run", ack_file, "A", "2"]) == 2
 
+    @pytest.mark.parametrize("args, value", [(("2", "100"), 203), (("3", "5"), 253)])
+    def test_deep_recursion(self, capsys, ack_file, args, value):
+        # hundreds of nested calls: fuel is the interpreter's only bound
+        code, report = run_json(capsys, ["run", ack_file, "A", *args])
+        assert code == 0 and report["value"] == value
+
     @pytest.mark.parametrize(
         "extra", [["A", "-1", "2"], ["A", "2", "2", "--fuel", "-5"]], ids=["arg", "fuel"]
     )

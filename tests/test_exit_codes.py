@@ -165,6 +165,25 @@ def test_deep_nesting(workdir, text):
     assert_contract(["run", str(path), "f", "0", "--fuel", "1000"])
 
 
+# deep at run time: each shape nests one interpreted call per level
+RECURSIONS = {
+    "operator": "f(x) = if x=0 then 0 else plus(f(x-1), 1)",
+    "argument": "f(x) = if x=0 then 0 else g(f(x-1))\ng(y) = y+1",
+    "mutual": "f(x) = if x=0 then 0 else plus(g(x-1), 1)\ng(y) = if y=0 then 1 else times(f(y-1), 2)",
+    "then": "f(x) = if !(x=0) then if x=1 then plus(f(x-1), 1) else max(f(x-1), x) else 0",
+    "tail": "f(x) = if x=0 then 0 else f(x-1)",
+}
+
+
+@FUZZ
+@given(st.sampled_from(sorted(RECURSIONS)), st.integers(0, 5000), st.integers(0, 12000))
+def test_deep_recursion(workdir, shape, depth, fuel):
+    """Up to 5,000 calls deep, past the depth at which a run once crashed."""
+    path = workdir / "recursion.sct"
+    path.write_text(RECURSIONS[shape], encoding="utf-8")
+    assert_contract(["run", str(path), "f", str(depth), "--fuel", str(fuel)])
+
+
 # --- graph-set JSON -----------------------------------------------------------
 
 json_values = st.recursive(

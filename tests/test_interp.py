@@ -1,5 +1,9 @@
+import random
+import sys
+
 import pytest
 
+from helpers import random_functional_graph_set, reference_run, reference_safety, reference_trace
 from sct import (
     Arc,
     ArcKind,
@@ -9,10 +13,12 @@ from sct import (
     eval_program,
     parse_program,
     sample_safety,
+    synthesize,
     trace_transitions,
 )
 from sct.extract import Mode, extract_description
 from sct.fixtures import corrupted_ackermann_description
+from sct.interp import Fuel
 
 
 def ack_oracle(x, y):
@@ -191,3 +197,123 @@ class TestSafety:
         d = extract_description(p, Mode.GUARDED)
         report = sample_safety(p, d, trials=20, value_bound=3, fuel=30, seed=0)
         assert report.skipped == 20 and report.ok
+
+
+# --- the compiled interpreter against the tree-walking reference ----------------
+
+# primitive operators, constants and nested calls in arguments and in then branches
+HAND_WRITTEN = [
+    "f(x) = if x=0 then 0 else plus(f(x-1), 1)",
+    "f(x, y) = if x=0 then plus(y, 2) else if y<x then g(f(x-1, plus(y, 1)), times(x, 2))"
+    " else max(f(x-1, y), g(y, 1))\n"
+    "g(a, b) = if a<=b && !(b=0) then plus(h(a), min(a, 3)) else if a=0 || b=0 then 7 else h(b-1)\n"
+    "h(z) = if z=0 then 1 else if z=1 then if !(z=2) then times(h(z-1), 3) else 0 else g(z-1, h(z-1))",
+    "f(x, y) = if x=0 then f(y, 0) else if !(y<=x) then plus(f(x-1, y), f(x, y-1)) else f(x-1, plus(x, y))",
+    "e(n) = if n=0 then 1 else o(n-1)\no(n) = if n=0 then 0 else e(n-1)",
+    "k(x, y) = if x=0 then y else plus(k(k(x-1, y), x-1), times(k(y-1, x), 2))",
+    # one parameter against constants, a repeated constant, and then the other parameter
+    "d(x, y) = if x=2 then d(x-1, y+1) else if x=0 then y else if x=2 then 9 else if x=1 then"
+    " plus(d(x-1, y), 1) else if y=3 then x else d(x-1, y)",
+    "d(x, y) = if x=2 then d(x-1, y+1) else if x=0 then y else if x=2 then 9 else if x=1 then"
+    " plus(d(x-1, y), 1) else d(x-1, y)",
+]
+
+
+def reference_outcome(program, fun, values, budget):
+    fuel = Fuel(budget)
+    try:
+        return reference_run(program, fun, values, fuel), fuel.budget
+    except OutOfFuel:
+        return "out of fuel", fuel.budget
+
+
+def compiled_outcome(program, fun, values, budget):
+    fuel = Fuel(budget)
+    try:
+        return eval_program(program, fun, values, fuel), fuel.budget
+    except OutOfFuel:
+        return "out of fuel", fuel.budget
+
+
+def assert_agrees(program, fun, values, cap):
+    """Equal values, fuel left and traces at every budget up to what the run needs."""
+    _, left = reference_outcome(program, fun, values, cap)
+    state = State(next(d.sig for d in program.defs if d.sig.name == fun), values)
+    for budget in range(cap - left + 1):
+        expected = reference_outcome(program, fun, values, budget)
+        assert compiled_outcome(program, fun, values, budget) == expected, (values, budget)
+        trace = trace_transitions(program, state, budget)
+        assert trace == reference_trace(program, state, Fuel(budget)), (values, budget)
+    full = reference_trace(program, state, Fuel(cap))
+    assert trace_transitions(program, state, cap) == full
+    for max_len in (1, len(full) // 2 + 1):
+        assert trace_transitions(program, state, cap, max_len) == full[:max_len]
+
+
+def synthesized(seed):
+    return synthesize(random_functional_graph_set(random.Random(seed)))
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_synthesized_programs(self, seed):
+        program = synthesized(seed)
+        rng = random.Random(seed)
+        arity = program.defs[0].sig.arity
+        for d in program.defs:
+            assert_agrees(program, d.sig.name, tuple(rng.randint(0, 4) for _ in range(arity)), 80)
+
+    def test_ackermann(self, ackermann):
+        for x in range(4):
+            for y in range(4 if x < 3 else 1):
+                assert_agrees(ackermann, "A", (x, y), 10**4)
+        for values in [(2, 9), (3, 3)]:
+            assert reference_outcome(ackermann, "A", values, 10**5) == \
+                compiled_outcome(ackermann, "A", values, 10**5)
+
+    @pytest.mark.parametrize("text", HAND_WRITTEN)
+    def test_hand_written_programs(self, text):
+        program = parse_program(text)
+        rng = random.Random(text)
+        for d in program.defs:
+            for _ in range(4):
+                values = tuple(rng.randint(0, 4) for _ in d.sig.params)
+                assert_agrees(program, d.sig.name, values, 150)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_safety_on_synthesized_programs(self, seed):
+        program = synthesized(seed)
+        for mode in Mode:
+            description = extract_description(program, mode)
+            for fuel in (0, 3, 40):
+                args = (program, description, 12, 4, fuel, seed)
+                assert sample_safety(*args) == reference_safety(*args)
+
+    @pytest.mark.parametrize("text", HAND_WRITTEN)
+    def test_safety_on_hand_written_programs(self, text):
+        program = parse_program(text)
+        for mode in Mode:
+            args = (program, extract_description(program, mode), 30, 4, 150, 1)
+            assert sample_safety(*args) == reference_safety(*args)
+
+    def test_safety_on_ackermann(self, ackermann, ack_description):
+        for description in (ack_description, corrupted_ackermann_description()):
+            for fuel in (5, 10**4):
+                args = (ackermann, description, 40, 3, fuel, 2)
+                report = sample_safety(*args)
+                assert report == reference_safety(*args)
+        assert report.violations  # the corrupted description is caught
+
+
+class TestDepth:
+    def test_non_tail_recursion_past_the_recursion_limit(self):
+        limit = sys.getrecursionlimit()
+        p = parse_program("f(x) = if x=0 then 0 else plus(f(x-1), 1)")
+        assert eval_program(p, "f", (100_000,), 100_001) == 100_000
+        assert sys.getrecursionlimit() == limit
+
+    def test_deep_trace(self, ackermann):
+        sig = ackermann.defs[0].sig
+        trace = trace_transitions(ackermann, State(sig, (2, 100)), 10**6)
+        n = 100
+        assert len(trace) + 1 == 2 * n**2 + 7 * n + 5  # the calls A(2, n) makes

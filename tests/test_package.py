@@ -12,7 +12,7 @@ import pytest
 
 import sct
 from sct import colorings, extract, graphs, interp, oracle, parser, record, reduction, syntax
-from sct.fixtures import ackermann_graph_set
+from sct.fixtures import ACKERMANN_SOURCE, ackermann_graph_set
 from sct.graphs import Arc, ArcKind, FunSig, GraphSet, LassoMultipath, SizeChangeGraph
 from sct.interp import State
 from sct.jsonio import dumps, graph_set_to_json
@@ -85,6 +85,20 @@ def test_graphs_check_loads_only_what_it_uses(tmp_path):
     }
     assert not loaded & unused
     assert "dataclasses" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv, used", [(["run", "ack.sct", "A", "2", "3"], "sct.interp"), (["analyze", "ack.sct"], "sct.extract")]
+)
+def test_program_commands_load_neither_oracle_nor_dataclasses(tmp_path, argv, used):
+    (tmp_path / "ack.sct").write_text(ACKERMANN_SOURCE, encoding="utf-8")
+    out, err = run_python(
+        "import sys; from sct.cli import main; main(sys.argv[1:]); " + LOADED, *argv, cwd=tmp_path,
+    )
+    assert json.loads(out)
+    loaded = set(err.split())
+    assert used in loaded
+    assert not loaded & {"sct.oracle", "dataclasses"}
 
 
 # --- record classes ---------------------------------------------------------------
