@@ -19,8 +19,8 @@ _EXPORTS = {
     "graphs": (
         "Arc", "ArcKind", "Closure", "CompositionError", "DerivedGraph", "DescentWitness",
         "FunSig", "GraphSet", "LassoMultipath", "SizeChangeGraph", "Verdict",
-        "check_sct_criterion", "closure", "compose", "compose_all", "decide_periodic_descent",
-        "idempotent_power", "is_idempotent",
+        "check_sct_criterion", "closure", "compose", "decide_periodic_descent",
+        "idempotent_power",
     ),
     "interp": (
         "Fuel", "OutOfFuel", "SafetyReport", "State", "Transition", "eval_program",
@@ -28,8 +28,8 @@ _EXPORTS = {
     ),
     "oracle": ("OracleReport", "bounded_lasso_oracle"),
     "parser": (
-        "CallSite", "Diagnostic", "GuardContext", "ParseError", "SourceError", "ValidationError",
-        "enumerate_call_sites", "implies_positive", "parse_program",
+        "CallSite", "Diagnostic", "ParseError", "SourceError", "ValidationError",
+        "enumerate_call_sites", "parse_program",
     ),
     "reduction": (
         "ChoiceState", "IndexSet", "ReversalRun", "build_reversal_multipath", "chi_step",

@@ -1,8 +1,8 @@
 """Derive a size-change graph per call site of a program.
 
-Two modes: GUARDED only emits a strict arc for x-1 when the guard context
-forces x > 0 (sound under monus), SYNTACTIC always does (guard-blind, the
-mode that inverts program synthesis exactly).
+Two modes: GUARDED only emits a strict arc for x-1 when the call site's
+branch conditions force x > 0 (sound under monus), SYNTACTIC always does
+(guard-blind, the mode that inverts program synthesis exactly).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from enum import Enum
 from typing import Optional
 
 from .graphs import Arc, ArcKind, GraphSet, SizeChangeGraph
-from .parser import CallSite, GuardContext, enumerate_call_sites, implies_positive
+from .parser import CallSite, enumerate_call_sites
 from .record import record
 from .syntax import Expr, Pred, Program, Var
 
@@ -41,20 +41,21 @@ def arc_for_argument(
     expr: Expr,
     tgt_index: int,
     caller,
-    ctx: GuardContext,
+    positive: frozenset[str],
     mode: Mode,
 ) -> Optional[Arc]:
     """The size relation an argument expression justifies, if any.
 
     Passing a parameter unchanged is non-strict; x-1 is strict when the mode
-    is guard-blind or the guards force x > 0, else non-strict.  Anything else
-    (x+1, operators, nested calls, constants) has unknown or increasing size.
+    is guard-blind or x is in positive, the parameters the call site's guards
+    force > 0, else non-strict.  Anything else (x+1, operators, nested calls,
+    constants) has unknown or increasing size.
     """
     match expr:
         case Var(name):
             return Arc(caller.index_of(name), ArcKind.NONSTRICT, tgt_index)
         case Pred(name):
-            if mode is Mode.SYNTACTIC or implies_positive(ctx, name):
+            if mode is Mode.SYNTACTIC or name in positive:
                 return Arc(caller.index_of(name), ArcKind.STRICT, tgt_index)
             return Arc(caller.index_of(name), ArcKind.NONSTRICT, tgt_index)
         case _:
@@ -64,7 +65,7 @@ def arc_for_argument(
 def extract_graph(site: CallSite, mode: Mode) -> SizeChangeGraph:
     arcs = []
     for j, arg in enumerate(site.args):
-        arc = arc_for_argument(arg, j, site.caller, site.guard, mode)
+        arc = arc_for_argument(arg, j, site.caller, site.positive, mode)
         if arc is not None:
             arcs.append(arc)
     return SizeChangeGraph(site.caller, site.callee, tuple(arcs))

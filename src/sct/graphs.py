@@ -237,19 +237,6 @@ def compose(g0: SizeChangeGraph, g1: SizeChangeGraph) -> SizeChangeGraph:
     return SizeChangeGraph._of_rows(g0.source, g1.target, rows)
 
 
-def compose_all(graphs: Sequence[SizeChangeGraph]) -> SizeChangeGraph:
-    if not graphs:
-        raise CompositionError("cannot compose an empty word")
-    acc = graphs[0]
-    for g in graphs[1:]:
-        acc = compose(acc, g)
-    return acc
-
-
-def is_idempotent(g: SizeChangeGraph) -> bool:
-    return g.source == g.target and compose(g, g) == g
-
-
 def idempotent_power(g: SizeChangeGraph) -> tuple[SizeChangeGraph, int]:
     """Return the unique idempotent among the powers of g, with its exponent.
 
@@ -460,7 +447,10 @@ def decide_periodic_descent(
     power of that composition has a strict self-arc.
     """
     _check_lasso(lasso, gs)
-    value = compose_all([gs.graphs[i] for i in lasso.period])
+    first, *rest = lasso.period  # LassoMultipath rules out an empty period
+    value = gs.graphs[first]
+    for i in rest:
+        value = compose(value, gs.graphs[i])
     stable, exponent = idempotent_power(value)
     strict = stable.strict_self_params()
     if not strict:

@@ -61,11 +61,6 @@ class Fuel:
         if self.budget < 0:
             raise ValueError(f"fuel must be >= 0, got {self.budget}")
 
-    def spend(self) -> None:
-        if self.budget <= 0:
-            raise OutOfFuel()
-        self.budget -= 1
-
 
 def _as_fuel(fuel: Union[int, Fuel]) -> Fuel:
     return fuel if isinstance(fuel, Fuel) else Fuel(fuel)
@@ -401,17 +396,6 @@ class SafetyReport:
         return not self.violations
 
 
-def _arc_checks(graph) -> tuple[tuple[int, int, bool], ...]:
-    """(source, target, strict) per arc of graph, in the order of its arcs."""
-    n = graph.target.arity
-    return tuple(
-        (s, t, bool(r >> (t + n) & 1))
-        for s, r in enumerate(graph.rows)
-        for t in range(n)
-        if r >> t & 1
-    )
-
-
 def sample_safety(
     program: Program,
     description,
@@ -429,16 +413,18 @@ def sample_safety(
     rng = random.Random(seed)
     report = SafetyReport()
     violations = report.violations
-    checks: dict[CallSiteId, tuple] = {}  # per call site, built on its first transition
+    # (source, target, strict, arc) per arc, per call site, built on its first transition
+    checks: dict[CallSiteId, tuple] = {}
 
     def check(source: FunSig, values: tuple, site: CallSiteId, target: FunSig, argv: tuple) -> None:
         arcs = checks.get(site)
         if arcs is None:
-            arcs = checks[site] = _arc_checks(description[site])
-        for s, t, strict in arcs:
+            arcs = checks[site] = tuple(
+                (a.src, a.tgt, a.kind is ArcKind.STRICT, a) for a in description[site].arcs
+            )
+        for s, t, strict, arc in arcs:
             u, v = values[s], argv[t]
             if u < v or strict and u == v:
-                arc = Arc(s, ArcKind.STRICT if strict else ArcKind.NONSTRICT, t)
                 violations.append(Violation(site, arc, State(source, values), State(target, argv)))
 
     compiled = _Compiled(program)

@@ -342,10 +342,7 @@ def parse_program(text: str) -> Program:
     return _Parser(text).program()
 
 
-# --- call sites and guard contexts -------------------------------------------
-
-# the signed branch conditions on the path from a body's root to a call
-GuardContext = frozenset[tuple[BoolExpr, bool]]
+# --- call sites and the parameters their guards force positive ---------------
 
 
 @record
@@ -354,51 +351,51 @@ class CallSite:
     caller: FunSig
     callee: FunSig
     args: tuple[Expr, ...]
-    guard: GuardContext
+    positive: frozenset[str]  # the caller's parameters the path's branches force > 0
+
+
+def _forced_positive(cond: BoolExpr, holds: bool) -> frozenset[str]:
+    """The parameters that one branch outcome, cond evaluating to holds, forces > 0.
+
+    Closed rule set, deliberately without transitive reasoning: a failed x=0
+    test, a passed x=c test with c >= 1 (x=1 among them), or a passed y<x
+    test.  Nothing is inferred through !, &&, || or <=.
+    """
+    match cond:
+        case EqConst(p, 0) if not holds:
+            return frozenset((p,))
+        case EqConst(p, c) if holds and c >= 1:
+            return frozenset((p,))
+        case Lt(_, r) if holds:
+            return frozenset((r,))
+    return frozenset()
 
 
 def enumerate_call_sites(program: Program) -> list[CallSite]:
-    """All call occurrences with their guard contexts, ordered by label."""
+    """All call occurrences with the parameters their guards force positive, by label."""
     table = {d.sig.name: d.sig for d in program.defs}
     sites: list[CallSite] = []
 
-    def walk_expr(e: Expr, caller: FunSig, ctx: GuardContext) -> None:
+    def walk_expr(e: Expr, caller: FunSig, positive: frozenset[str]) -> None:
         match e:
             case Call(fun, args, label):
-                sites.append(CallSite(label, caller, table[fun], args, ctx))
+                sites.append(CallSite(label, caller, table[fun], args, positive))
                 for a in args:
-                    walk_expr(a, caller, ctx)
+                    walk_expr(a, caller, positive)
             case PrimOp(_, args):
                 for a in args:
-                    walk_expr(a, caller, ctx)
+                    walk_expr(a, caller, positive)
             case _:
                 pass
 
-    def walk_cond(c: CondExpr, caller: FunSig, ctx: GuardContext) -> None:
+    def walk_cond(c: CondExpr, caller: FunSig, positive: frozenset[str]) -> None:
         while isinstance(c, If):  # along else-if chains without recursion
-            walk_cond(c.then, caller, ctx | {(c.cond, True)})
-            c, ctx = c.orelse, ctx | {(c.cond, False)}
-        walk_expr(c, caller, ctx)
+            walk_cond(c.then, caller, positive | _forced_positive(c.cond, True))
+            c, positive = c.orelse, positive | _forced_positive(c.cond, False)
+        walk_expr(c, caller, positive)
 
     for d in program.defs:
         walk_cond(d.body, d.sig, frozenset())
     if [s.id for s in sites] != list(range(len(sites))):
         raise ValueError("call sites are not labeled in document order")
     return sites
-
-
-def implies_positive(ctx: GuardContext, param: str) -> bool:
-    """Whether the guard facts force param > 0.
-
-    Closed rule set, deliberately without transitive reasoning: a failed x=0
-    test, a passed x=c test with c >= 1 (x=1 among them), or a passed y<x test.
-    """
-    for cond, holds in ctx:
-        match cond, holds:
-            case (EqConst(p, 0), False) if p == param:
-                return True
-            case (EqConst(p, c), True) if p == param and c >= 1:
-                return True
-            case (Lt(_, r), True) if r == param:
-                return True
-    return False

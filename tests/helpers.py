@@ -5,7 +5,10 @@ from __future__ import annotations
 import operator
 import random
 
+from hypothesis import strategies as st
+
 from sct import Arc, ArcKind, CompositionError, FunSig, GraphSet, SizeChangeGraph
+from sct.extract import Mode
 from sct.interp import Fuel, OutOfFuel, SafetyReport, State, Transition, Violation
 from sct.syntax import (
     And,
@@ -121,6 +124,57 @@ def random_cyclic_word(rng: random.Random, gs: GraphSet, max_len: int = 4):
     return None
 
 
+FUNS, PARAMS = ["f", "g"], ["x", "y"]
+
+
+@st.composite
+def program_text(draw):
+    """At most two functions of arity <= 2; a call sometimes has the wrong arity.
+
+    A body is an else-if chain of up to two branches.  Conditions use every
+    form: x=c, x<y, x<=y, !, &&, || and parentheses; a then-branch may be an
+    if of its own.
+    """
+    arity = {f: draw(st.integers(1, 2)) for f in FUNS[: draw(st.integers(1, 2))]}
+
+    def expr(params, depth):
+        kind = draw(st.integers(0, 3 if depth < 3 else 1))
+        if kind == 0:
+            return draw(st.sampled_from(["0", "1", *params]))
+        if kind == 1:
+            return draw(st.sampled_from(params)) + draw(st.sampled_from(["-1", "+1"]))
+        f = draw(st.sampled_from([*arity, "plus"]))
+        n = draw(st.sampled_from([arity.get(f, 2)] * 3 + [1, 2]))
+        return f"{f}({', '.join(expr(params, depth + 1) for _ in range(n))})"
+
+    def cond(params, depth):
+        kind = draw(st.integers(0, 4 if depth < 2 else 0))
+        if kind == 0:
+            p, q = draw(st.sampled_from(params)), draw(st.sampled_from([*params, "0", "1", "2"]))
+            op = "=" if q.isdigit() else draw(st.sampled_from(["<", "<="]))
+            return f"{p}{op}{q}"
+        if kind == 1:
+            return "!" + cond(params, depth + 1)
+        if kind == 2:
+            return f"({cond(params, depth + 1)})"
+        return f"{cond(params, depth + 1)} {'&&' if kind == 3 else '||'} {cond(params, depth + 1)}"
+
+    def then(params, depth):
+        if depth < 2 and draw(st.booleans()):
+            inner = f"{then(params, depth + 1)} else {expr(params, 1)}"
+            return f"if {cond(params, 0)} then {inner}"
+        return expr(params, 1)
+
+    defs = []
+    for f, n in arity.items():
+        params = PARAMS[:n]
+        body = expr(params, 0)
+        for _ in range(draw(st.integers(0, 2))):
+            body = f"if {cond(params, 0)} then {then(params, 0)} else {body}"
+        defs.append(f"{f}({', '.join(params)}) = {body}")
+    return "\n".join(defs)
+
+
 def reference_compose(g0: SizeChangeGraph, g1: SizeChangeGraph) -> SizeChangeGraph:
     """Composition on `Arc` objects, the plain reference for the packed kernel."""
     if g0.target != g1.source:
@@ -174,7 +228,9 @@ def reference_run(program: Program, fun: str, values: tuple, fuel: Fuel, on_tran
     defs = {d.sig.name: d for d in program.defs}
 
     def call(name: str, values: tuple) -> int:
-        fuel.spend()
+        if fuel.budget <= 0:
+            raise OutOfFuel()
+        fuel.budget -= 1
         d = defs[name]
         env = dict(zip(d.sig.params, values))
         c = d.body
@@ -259,3 +315,68 @@ def reference_safety(program: Program, description, trials, value_bound, fuel, s
                 if not (u > v if arc.kind is ArcKind.STRICT else u >= v):
                     report.violations.append(Violation(tr.site, arc, tr.source, tr.target))
     return report
+
+
+def reference_guard_paths(program: Program) -> list[tuple]:
+    """(caller, callee, args, path) per call site, by label.
+
+    A path is the set of signed branch conditions from the body's root to the
+    call, as call sites once stored them.
+    """
+    table = {d.sig.name: d.sig for d in program.defs}
+    sites: dict[int, tuple] = {}
+
+    def walk(e, caller, path) -> None:
+        match e:
+            case If(cond, then, orelse):
+                walk(then, caller, path | {(cond, True)})
+                walk(orelse, caller, path | {(cond, False)})
+            case Call(fun, args, label):
+                sites[label] = (caller, table[fun], args, path)
+                for a in args:
+                    walk(a, caller, path)
+            case PrimOp(_, args):
+                for a in args:
+                    walk(a, caller, path)
+
+    for d in program.defs:
+        walk(d.body, d.sig, frozenset())
+    return [sites[label] for label in range(len(sites))]
+
+
+def reference_forces_positive(path, param: str) -> bool:
+    """One scan of a guard path by the three rules: a failed x=0, a passed
+    x=c with c >= 1, or a passed y<x forces x > 0."""
+    for cond, holds in path:
+        match cond, holds:
+            case (EqConst(p, 0), False) if p == param:
+                return True
+            case (EqConst(p, c), True) if p == param and c >= 1:
+                return True
+            case (Lt(_, r), True) if r == param:
+                return True
+    return False
+
+
+def reference_positive(program: Program) -> list[frozenset[str]]:
+    """`CallSite.positive` per call site, by label, from the whole guard path."""
+    return [
+        frozenset(p for p in caller.params if reference_forces_positive(path, p))
+        for caller, _, _, path in reference_guard_paths(program)
+    ]
+
+
+def reference_description(program: Program, mode: Mode) -> tuple[SizeChangeGraph, ...]:
+    """`extract_description`'s graphs, with x-1 decided by scanning the guard path."""
+    graphs = []
+    for caller, callee, args, path in reference_guard_paths(program):
+        arcs = []
+        for j, a in enumerate(args):
+            if isinstance(a, (Var, Pred)):
+                strict = isinstance(a, Pred) and (
+                    mode is Mode.SYNTACTIC or reference_forces_positive(path, a.name)
+                )
+                kind = ArcKind.STRICT if strict else ArcKind.NONSTRICT
+                arcs.append(Arc(caller.index_of(a.name), kind, j))
+        graphs.append(SizeChangeGraph(caller, callee, tuple(arcs)))
+    return tuple(graphs)

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import pytest
 
 from sct import (
@@ -6,8 +8,7 @@ from sct import (
     GraphSet,
     LassoMultipath,
     SizeChangeGraph,
-    compose_all,
-    is_idempotent,
+    compose,
 )
 from sct.colorings import (
     EPColoring,
@@ -78,7 +79,7 @@ class TestInducedColoring:
         for i in range(8):
             for j in range(i + 1, 8):
                 segment = [ack_graphs.graphs[lasso.graph_index_at(t)] for t in range(i, j)]
-                assert palette[coloring.at(i, j)] == compose_all(segment)
+                assert palette[coloring.at(i, j)] == reduce(compose, segment)
 
     def test_single_step(self, ack_graphs):
         coloring, palette = pair_coloring_from_lasso(LassoMultipath((), (1,)), ack_graphs, 2)
@@ -108,5 +109,5 @@ class TestInducedStar:
         witness = star_search(coloring, 3)
         assert witness is not None
         graph = palette[witness.color]
-        assert is_idempotent(graph)
+        assert compose(graph, graph) == graph
         assert graph.has_strict_self_arc()

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import FUNS, PARAMS, program_text
 from sct import SourceError, enumerate_call_sites, parse_program
 from sct.cli import main
 from sct.parser import MAX_NESTING
@@ -37,40 +38,12 @@ def assert_contract(argv):
 
 # --- program text -------------------------------------------------------------
 
-FUNS, PARAMS = ["f", "g"], ["x", "y"]
 TOKENS = FUNS + PARAMS + [
     "if", "then", "else", "plus", "max", "0", "1", "2",
     "(", ")", ",", ";", "=", "+", "-", "<", "<=", "&&", "||", "!", "\n",
 ]
 
 token_text = st.lists(st.sampled_from(TOKENS), max_size=40).map(" ".join)
-
-
-@st.composite
-def program_text(draw):
-    """At most two functions of arity <= 2; a call sometimes has the wrong arity."""
-    arity = {f: draw(st.integers(1, 2)) for f in FUNS[: draw(st.integers(1, 2))]}
-
-    def expr(params, depth):
-        kind = draw(st.integers(0, 3 if depth < 3 else 1))
-        if kind == 0:
-            return draw(st.sampled_from(["0", "1", *params]))
-        if kind == 1:
-            return draw(st.sampled_from(params)) + draw(st.sampled_from(["-1", "+1"]))
-        f = draw(st.sampled_from([*arity, "plus"]))
-        n = draw(st.sampled_from([arity.get(f, 2)] * 3 + [1, 2]))
-        return f"{f}({', '.join(expr(params, depth + 1) for _ in range(n))})"
-
-    defs = []
-    for f, n in arity.items():
-        params = PARAMS[:n]
-        body = expr(params, 0)
-        if draw(st.booleans()):
-            p, q = draw(st.sampled_from(params)), draw(st.sampled_from([*params, "0", "1"]))
-            op = "=" if q.isdigit() else draw(st.sampled_from(["<", "<="]))
-            body = f"if {p}{op}{q} then {expr(params, 1)} else {body}"
-        defs.append(f"{f}({', '.join(params)}) = {body}")
-    return "\n".join(defs)
 
 
 @FUZZ

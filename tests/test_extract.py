@@ -1,20 +1,26 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
-from helpers import random_functional_graph_set
+from helpers import (
+    program_text,
+    random_functional_graph_set,
+    reference_description,
+    reference_positive,
+)
 from sct import (
     Arc,
     ArcKind,
     FunSig,
-    GuardContext,
+    SourceError,
     parse_program,
     sample_safety,
     synthesize,
 )
 from sct.extract import Mode, arc_for_argument, extract_description, extract_graph
 from sct.parser import enumerate_call_sites
-from sct.syntax import Call, Const, EqConst, Pred, PrimOp, Succ, Var
+from sct.syntax import Call, Const, Pred, PrimOp, Succ, Var
 
 
 @pytest.fixture
@@ -22,26 +28,21 @@ def caller():
     return FunSig("f", ("x", "y"))
 
 
-def guard(*facts):
-    return GuardContext(frozenset(facts))
-
-
 class TestArcForArgument:
     def test_guarded_decrement(self, caller):
-        ctx = guard((EqConst("x", 0), False))
-        arc = arc_for_argument(Pred("x"), 0, caller, ctx, Mode.GUARDED)
+        arc = arc_for_argument(Pred("x"), 0, caller, frozenset({"x"}), Mode.GUARDED)
         assert arc == Arc(0, ArcKind.STRICT, 0)
 
     def test_unguarded_decrement_weakens(self, caller):
-        arc = arc_for_argument(Pred("x"), 1, caller, guard(), Mode.GUARDED)
+        arc = arc_for_argument(Pred("x"), 1, caller, frozenset({"y"}), Mode.GUARDED)
         assert arc == Arc(0, ArcKind.NONSTRICT, 1)
 
     def test_syntactic_decrement_is_strict(self, caller):
-        arc = arc_for_argument(Pred("x"), 1, caller, guard(), Mode.SYNTACTIC)
+        arc = arc_for_argument(Pred("x"), 1, caller, frozenset(), Mode.SYNTACTIC)
         assert arc == Arc(0, ArcKind.STRICT, 1)
 
     def test_plain_variable(self, caller):
-        arc = arc_for_argument(Var("y"), 0, caller, guard(), Mode.GUARDED)
+        arc = arc_for_argument(Var("y"), 0, caller, frozenset(), Mode.GUARDED)
         assert arc == Arc(1, ArcKind.NONSTRICT, 0)
 
     @pytest.mark.parametrize(
@@ -54,8 +55,8 @@ class TestArcForArgument:
         ],
     )
     def test_unknown_or_increasing(self, caller, expr):
-        assert arc_for_argument(expr, 0, caller, guard(), Mode.GUARDED) is None
-        assert arc_for_argument(expr, 0, caller, guard(), Mode.SYNTACTIC) is None
+        assert arc_for_argument(expr, 0, caller, frozenset(), Mode.GUARDED) is None
+        assert arc_for_argument(expr, 0, caller, frozenset(), Mode.SYNTACTIC) is None
 
 
 class TestExtractGraph:
@@ -98,3 +99,28 @@ class TestModes:
                 program, description, trials=30, value_bound=3, fuel=40, seed=1
             )
             assert report.ok, f"violations in {description}"
+
+
+def assert_matches_guard_paths(program):
+    sites = enumerate_call_sites(program)
+    assert [s.positive for s in sites] == reference_positive(program)
+    for mode in Mode:
+        assert extract_description(program, mode).sites == reference_description(program, mode)
+
+
+class TestAgainstGuardPaths:
+    """Positive sets and both modes against a scan of each site's whole guard path."""
+
+    def test_synthesized_programs(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            assert_matches_guard_paths(synthesize(random_functional_graph_set(rng)))
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(program_text())
+    def test_program_text(self, text):
+        try:
+            program = parse_program(text)
+        except SourceError:
+            return
+        assert_matches_guard_paths(program)

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given
@@ -28,10 +29,8 @@ from sct import (
     check_sct_criterion,
     closure,
     compose,
-    compose_all,
     decide_periodic_descent,
     idempotent_power,
-    is_idempotent,
 )
 from sct.reduction import spp_reduction_family
 
@@ -224,16 +223,21 @@ class TestKernel:
 
 class TestIdempotents:
     def test_g2_idempotent(self, ack_graphs):
-        assert is_idempotent(ack_graphs.graphs[1])
+        g2 = ack_graphs.graphs[1]
+        assert compose(g2, g2) == g2
 
     def test_swap_not_idempotent(self, swap_graphs):
-        assert not is_idempotent(swap_graphs.graphs[0])
+        (s,) = swap_graphs.graphs
+        assert compose(s, s) != s
 
     def test_empty_graph_idempotent(self):
-        assert is_idempotent(SizeChangeGraph(sig(), sig(), ()))
+        g = SizeChangeGraph(sig(), sig(), ())
+        assert compose(g, g) == g
 
     def test_mismatched_endpoints_not_idempotent(self):
-        assert not is_idempotent(SizeChangeGraph(sig("f"), sig("g"), ()))
+        g = SizeChangeGraph(sig("f"), sig("g"), ())
+        with pytest.raises(CompositionError):
+            compose(g, g)
 
     def test_power_of_swap(self, swap_graphs):
         (s,) = swap_graphs.graphs
@@ -262,7 +266,7 @@ class TestIdempotents:
     @given(cyclic_graph())
     def test_power_is_idempotent_within_bound(self, g):
         stable, exponent = idempotent_power(g)
-        assert is_idempotent(stable)
+        assert compose(stable, stable) == stable
         assert 1 <= exponent <= 3 ** (g.source.arity**2)
 
     @given(cyclic_graph(max_arity=2), st.integers(1, 8))
@@ -291,7 +295,7 @@ class TestClosure:
         for _ in range(50):
             gs = random_graph_set(rng)
             for dg in closure(gs).elements:
-                assert compose_all([gs.graphs[i] for i in dg.witness]) == dg.graph
+                assert reduce(compose, [gs.graphs[i] for i in dg.witness]) == dg.graph
 
     def test_witness_bound_is_longest_witness(self):
         rng = random.Random(6)

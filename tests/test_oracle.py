@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from functools import reduce
 
 import pytest
 
@@ -16,7 +17,6 @@ from sct import (
     check_sct_criterion,
     closure,
     compose,
-    compose_all,
     decide_periodic_descent,
     idempotent_power,
 )
@@ -33,7 +33,7 @@ def reference_oracle(gs, max_len):
             if any(a.target != b.source for a, b in zip(graphs, graphs[1:] + graphs[:1])):
                 continue
             checked += 1
-            stable, _ = idempotent_power(compose_all(graphs))
+            stable, _ = idempotent_power(reduce(compose, graphs))
             if not stable.has_strict_self_arc():
                 return OracleReport(LassoMultipath((), word), max_len, checked)
     return OracleReport(None, max_len, checked)

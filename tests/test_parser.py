@@ -5,11 +5,9 @@ import pytest
 from helpers import random_functional_graph_set
 from sct import (
     FunSig,
-    GuardContext,
     ParseError,
     ValidationError,
     enumerate_call_sites,
-    implies_positive,
     parse_program,
     synthesize,
 )
@@ -20,8 +18,6 @@ from sct.syntax import (
     Const,
     EqConst,
     FunDef,
-    Le,
-    Lt,
     Not,
     Or,
     Pred,
@@ -159,25 +155,24 @@ class TestRoundTrip:
 class TestGuards:
     def test_ackermann_contexts(self, ackermann):
         sites = enumerate_call_sites(ackermann)
-        x0, y0 = EqConst("x", 0), EqConst("y", 0)
-        assert sites[0].guard == frozenset({(x0, False), (y0, True)})
-        assert sites[1].guard == frozenset({(x0, False), (y0, False)})
-        assert sites[2].guard == frozenset({(x0, False), (y0, False)})
+        # x=0 failed and y=0 passed; then x=0 and y=0 both failed
+        assert [s.positive for s in sites] == [{"x"}, {"x", "y"}, {"x", "y"}]
 
     def test_comparison_guard(self):
         p = parse_program("f(x, y) = if x<y then f(y, y) else x")
         (site,) = enumerate_call_sites(p)
-        assert site.guard == frozenset({(Lt("x", "y"), True)})
+        assert site.positive == {"y"}
 
     def test_facts_are_exactly_the_branch_conditions(self):
+        # the outcomes along then and else are united; ! and <= force nothing
         p = parse_program(
-            "f(x, y) = if x<=y then if !(x=0) then f(x-1, y) else x else f(x, y-1)"
+            "f(x, y) = if x<=y then if !(x=0) then f(x-1, y) else if y=2 then f(x, y-1) else x"
+            " else if x=0 then x else f(x-1, y)"
         )
-        first, second = enumerate_call_sites(p)
-        assert first.guard == frozenset(
-            {(Le("x", "y"), True), (Not(EqConst("x", 0)), True)}
-        )
-        assert second.guard == frozenset({(Le("x", "y"), False)})
+        first, second, third = enumerate_call_sites(p)
+        assert first.positive == frozenset()
+        assert second.positive == {"y"}
+        assert third.positive == {"x"}
 
     def test_no_calls_no_sites(self):
         assert enumerate_call_sites(parse_program("f(x) = plus(x, 1)")) == []
@@ -190,28 +185,36 @@ class TestGuards:
             enumerate_call_sites(program)
 
 
-class TestImpliesPositive:
-    def ctx(self, *facts):
-        return GuardContext(frozenset(facts))
+def forced(cond: str, holds: bool) -> frozenset[str]:
+    """The parameters of f(x, y) that cond evaluating to holds forces > 0."""
+    sites = enumerate_call_sites(parse_program(f"f(x, y) = if {cond} then f(x, y) else f(y, x)"))
+    return sites[0 if holds else 1].positive
 
+
+class TestImpliesPositive:
     def test_failed_zero_test(self):
-        assert implies_positive(self.ctx((EqConst("x", 0), False)), "x")
+        assert forced("x=0", False) == {"x"}
 
     def test_empty_context(self):
-        assert not implies_positive(self.ctx(), "x")
+        (site,) = enumerate_call_sites(parse_program("f(x, y) = f(x-1, y)"))
+        assert site.positive == frozenset()
 
     def test_strict_upper_neighbor(self):
-        assert implies_positive(self.ctx((Lt("y", "x"), True)), "x")
+        assert forced("y<x", True) == {"x"}
 
     def test_one_and_constant_tests(self):
-        assert implies_positive(self.ctx((EqConst("x", 1), True)), "x")
-        assert implies_positive(self.ctx((EqConst("x", 3), True)), "x")
-        assert not implies_positive(self.ctx((EqConst("x", 0), True)), "x")
+        assert forced("x=1", True) == {"x"}
+        assert forced("x=3", True) == {"x"}
+        assert forced("x=0", True) == frozenset()
+        assert forced("x=3", False) == frozenset()
 
     def test_no_inference_beyond_the_rules(self):
-        assert not implies_positive(self.ctx((EqConst("x", 0), True)), "x")
-        assert not implies_positive(self.ctx((Le("y", "x"), True)), "x")
-        assert not implies_positive(self.ctx((Lt("x", "y"), True)), "x")
-        assert not implies_positive(self.ctx((EqConst("y", 0), False)), "x")
-        # a negated atom hidden under ! is not decomposed
-        assert not implies_positive(self.ctx((Not(EqConst("x", 0)), True)), "x")
+        assert forced("x=0", True) == frozenset()
+        assert forced("y<=x", True) == frozenset()
+        assert forced("x<y", True) == {"y"}
+        assert forced("y=0", False) == {"y"}
+        assert forced("x<y", False) == frozenset()
+        # a negated atom hidden under ! is not decomposed, nor are && and ||
+        assert forced("!(x=0)", True) == frozenset()
+        assert forced("!(x=0) && y<x", True) == frozenset()
+        assert forced("x=0 || y=0", False) == frozenset()

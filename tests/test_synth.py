@@ -105,11 +105,20 @@ class TestRoundTrip:
         sys.setrecursionlimit(400)
         try:
             text = format_program(synthesize(gs))
-            description = extract_description(parse_program(text), Mode.SYNTACTIC)
+            program = parse_program(text)
+            description = extract_description(program, Mode.SYNTACTIC)
+            guarded = extract_description(program, Mode.GUARDED)
             code = main(["synth", str(path), "-o", str(tmp_path / "chain.sct")])
         finally:
             sys.setrecursionlimit(limit)
         assert text.count("else") == 1099
         assert graph_multiset(description.sites) == graph_multiset(gs.graphs)
+        # only site 0, the x0=0 branch, leaves x0 unforced, so its x0-1 is non-strict
+        first = description.sites[0]
+        assert first.arcs == (Arc(0, ArcKind.STRICT, 0),)
+        assert guarded.sites[0] == SizeChangeGraph(
+            first.source, first.target, (Arc(0, ArcKind.NONSTRICT, 0),)
+        )
+        assert guarded.sites[1:] == description.sites[1:]
         assert code == 0
         assert (tmp_path / "chain.sct").read_text(encoding="utf-8") == text
