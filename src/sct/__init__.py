@@ -15,7 +15,7 @@ _EXPORTS = {
         "EPColoring", "PairColoring", "StarWitness", "pair_coloring_from_lasso", "spp_witness",
         "star_search",
     ),
-    "extract": ("Description", "Mode", "arc_for_argument", "extract_description", "extract_graph"),
+    "extract": ("Description", "Mode", "extract_description"),
     "graphs": (
         "Arc", "ArcKind", "Closure", "CompositionError", "DerivedGraph", "DescentWitness",
         "FunSig", "GraphSet", "LassoMultipath", "SizeChangeGraph", "Verdict",
@@ -27,14 +27,11 @@ _EXPORTS = {
         "sample_safety", "trace_transitions",
     ),
     "oracle": ("OracleReport", "bounded_lasso_oracle"),
-    "parser": (
-        "CallSite", "Diagnostic", "ParseError", "SourceError", "ValidationError",
-        "enumerate_call_sites", "parse_program",
-    ),
+    "parser": ("Diagnostic", "ParseError", "SourceError", "ValidationError", "parse_program"),
     "reduction": (
         "ChoiceState", "IndexSet", "ReversalRun", "build_reversal_multipath", "chi_step",
-        "family_signature", "graph_for", "index_sets", "initial_chi", "recurring_vs_active",
-        "spp_reduction_family", "warmup_family",
+        "family_signature", "graph_for", "index_sets", "initial_chi", "spp_reduction_family",
+        "warmup_family",
     ),
     "synth": ("SynthesisError", "graph_multiset", "synthesize"),
     "syntax": ("Program", "format_program"),

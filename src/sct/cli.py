@@ -45,11 +45,14 @@ def _read_graphs(path: str):
         raise _InputError(f"{path}: {exc}") from None
 
 
-def _write(text: str, out: str | None = None) -> None:
+def _write(text: str, out: str | Path | None = None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _InputError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def _emit(data: dict, out: str | None = None) -> None:
@@ -252,11 +255,14 @@ def _cmd_fixtures(args) -> int:
     from . import fixtures
 
     directory = Path(args.output)
-    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _InputError(f"cannot write {directory}: {exc.strerror}") from None
     written = []
     for name, content in fixtures.fixture_files().items():
         path = directory / name
-        path.write_text(content, encoding="utf-8")
+        _write(content, path)
         written.append(str(path))
     _emit({"written": written})
     return 0

@@ -1,19 +1,22 @@
 """Derive a size-change graph per call site of a program.
 
-Two modes: GUARDED only emits a strict arc for x-1 when the call site's
-branch conditions force x > 0 (sound under monus), SYNTACTIC always does
-(guard-blind, the mode that inverts program synthesis exactly).
+One walk of each body, in document order, meets every call with
+``positive``: the caller's parameters that the branch outcomes on its path
+force above 0, united along ``then`` and ``else``.  Each argument that is a
+parameter x gives a non-strict arc, and each x-1 a strict one when the mode
+is SYNTACTIC (guard-blind, the mode that inverts program synthesis exactly)
+or x is in ``positive`` (GUARDED, sound under monus).  Other arguments (x+1,
+operators, nested calls, constants) have unknown or increasing size and
+give no arc.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional
 
-from .graphs import Arc, ArcKind, GraphSet, SizeChangeGraph
-from .parser import CallSite, enumerate_call_sites
+from .graphs import GraphSet, SizeChangeGraph
 from .record import record
-from .syntax import Expr, Pred, Program, Var
+from .syntax import BoolExpr, Call, CondExpr, EqConst, Expr, If, Lt, Pred, PrimOp, Program, Var
 
 
 class Mode(Enum):
@@ -37,40 +40,59 @@ class Description:
         return GraphSet.of(self.sites, names=tuple(f"tau{i}" for i in range(len(self.sites))))
 
 
-def arc_for_argument(
-    expr: Expr,
-    tgt_index: int,
-    caller,
-    positive: frozenset[str],
-    mode: Mode,
-) -> Optional[Arc]:
-    """The size relation an argument expression justifies, if any.
+def _forced_positive(cond: BoolExpr, holds: bool) -> frozenset[str]:
+    """The parameters that one branch outcome, cond evaluating to holds, forces > 0.
 
-    Passing a parameter unchanged is non-strict; x-1 is strict when the mode
-    is guard-blind or x is in positive, the parameters the call site's guards
-    force > 0, else non-strict.  Anything else (x+1, operators, nested calls,
-    constants) has unknown or increasing size.
+    Closed rule set, deliberately without transitive reasoning: a failed x=0
+    test, a passed x=c test with c >= 1 (x=1 among them), or a passed y<x
+    test.  Nothing is inferred through !, &&, || or <=.
     """
-    match expr:
-        case Var(name):
-            return Arc(caller.index_of(name), ArcKind.NONSTRICT, tgt_index)
-        case Pred(name):
-            if mode is Mode.SYNTACTIC or name in positive:
-                return Arc(caller.index_of(name), ArcKind.STRICT, tgt_index)
-            return Arc(caller.index_of(name), ArcKind.NONSTRICT, tgt_index)
-        case _:
-            return None
-
-
-def extract_graph(site: CallSite, mode: Mode) -> SizeChangeGraph:
-    arcs = []
-    for j, arg in enumerate(site.args):
-        arc = arc_for_argument(arg, j, site.caller, site.positive, mode)
-        if arc is not None:
-            arcs.append(arc)
-    return SizeChangeGraph(site.caller, site.callee, tuple(arcs))
+    match cond:
+        case EqConst(p, 0) if not holds:
+            return frozenset((p,))
+        case EqConst(p, c) if holds and c >= 1:
+            return frozenset((p,))
+        case Lt(_, r) if holds:
+            return frozenset((r,))
+    return frozenset()
 
 
 def extract_description(program: Program, mode: Mode) -> Description:
-    sites = enumerate_call_sites(program)
-    return Description(tuple(extract_graph(s, mode) for s in sites))
+    sigs = {d.sig.name: d.sig for d in program.defs}
+    guard_blind = mode is Mode.SYNTACTIC
+    sites: list[SizeChangeGraph] = []
+    labels: list[int] = []
+
+    # caller and index (parameter name -> position) belong to the
+    # definition being walked
+    def walk_expr(e: Expr, positive: frozenset[str]) -> None:
+        match e:
+            case Call(fun, args, label):
+                triples = []
+                for j, a in enumerate(args):
+                    match a:
+                        case Var(x):
+                            triples.append((index[x], False, j))
+                        case Pred(x):
+                            triples.append((index[x], guard_blind or x in positive, j))
+                sites.append(SizeChangeGraph._of_triples(caller, sigs[fun], triples))
+                labels.append(label)
+                for a in args:
+                    walk_expr(a, positive)
+            case PrimOp(_, args):
+                for a in args:
+                    walk_expr(a, positive)
+
+    def walk_cond(c: CondExpr, positive: frozenset[str]) -> None:
+        while isinstance(c, If):  # along else-if chains without recursion
+            walk_cond(c.then, positive | _forced_positive(c.cond, True))
+            c, positive = c.orelse, positive | _forced_positive(c.cond, False)
+        walk_expr(c, positive)
+
+    for d in program.defs:
+        caller = d.sig
+        index = {x: i for i, x in enumerate(caller.params)}
+        walk_cond(d.body, frozenset())
+    if labels != list(range(len(labels))):
+        raise ValueError("call sites are not labeled in document order")
+    return Description(tuple(sites))

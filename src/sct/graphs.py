@@ -70,20 +70,31 @@ class SizeChangeGraph:
     __slots__ = ("source", "target", "rows", "_hash", "_arcs")
 
     def __new__(cls, source: FunSig, target: FunSig, arcs: Iterable[Arc]) -> "SizeChangeGraph":
-        n = target.arity
-        rows = [0] * source.arity
         arcs = tuple(sorted(arcs, key=lambda a: (a.src, a.tgt)))
+        last = None
         for a in arcs:
-            if not (0 <= a.src < source.arity and 0 <= a.tgt < n):
+            if not (0 <= a.src < source.arity and 0 <= a.tgt < target.arity):
                 raise ValueError(
                     f"arc {a.src}->{a.tgt} out of range for {source.name}->{target.name}"
                 )
-            if rows[a.src] >> a.tgt & 1:
+            if (a.src, a.tgt) == last:
                 raise ValueError(f"two arcs between parameters {a.src} and {a.tgt}")
-            rows[a.src] |= (1 | (a.kind is ArcKind.STRICT) << n) << a.tgt
-        g = cls._of_rows(source, target, tuple(rows))
+            last = (a.src, a.tgt)
+        g = cls._of_triples(source, target, ((a.src, a.kind is ArcKind.STRICT, a.tgt) for a in arcs))
         object.__setattr__(g, "_arcs", arcs)  # already the sorted view
         return g
+
+    @classmethod
+    def _of_triples(
+        cls, source: FunSig, target: FunSig, triples: Iterable[tuple[int, bool, int]]
+    ) -> "SizeChangeGraph":
+        """A graph from (source index, strict, target index) triples already known
+        to be in range and on distinct pairs; nothing is checked."""
+        n = target.arity
+        rows = [0] * source.arity
+        for s, strict, t in triples:
+            rows[s] |= (1 | strict << n) << t
+        return cls._of_rows(source, target, tuple(rows))
 
     @classmethod
     def _of_rows(cls, source: FunSig, target: FunSig, rows: tuple[int, ...]) -> "SizeChangeGraph":
@@ -131,14 +142,15 @@ class SizeChangeGraph:
             return self._arcs
         except AttributeError:
             n = self.target.arity
-            arcs = tuple(
-                Arc(s, ArcKind.STRICT if r >> (t + n) & 1 else ArcKind.NONSTRICT, t)
-                for s, r in enumerate(self.rows)
-                for t in range(n)
-                if r >> t & 1
-            )
-            object.__setattr__(self, "_arcs", arcs)
-            return arcs
+            arcs = []
+            for s, r in enumerate(self.rows):
+                reach = r & ((1 << n) - 1)
+                while reach:  # one step per arc, lowest target first
+                    t = (reach & -reach).bit_length() - 1
+                    arcs.append(Arc(s, ArcKind.STRICT if r >> (t + n) & 1 else ArcKind.NONSTRICT, t))
+                    reach &= reach - 1
+            object.__setattr__(self, "_arcs", tuple(arcs))
+            return self._arcs
 
     @classmethod
     def from_names(

@@ -15,14 +15,7 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
 
-from .graphs import (
-    Arc,
-    ArcKind,
-    FunSig,
-    GraphSet,
-    SizeChangeGraph,
-    Verdict,
-)
+from .graphs import FunSig, GraphSet, SizeChangeGraph, Verdict
 
 if TYPE_CHECKING:  # only annotations name it, so no subcommand loads the oracle for it
     from .oracle import OracleReport
@@ -84,7 +77,7 @@ def load_graph_set(data: dict) -> GraphSet:
         if target not in by_name:
             raise SchemaError(f"{ptr}/target", f"unknown function {target!r}")
         src_sig, tgt_sig = by_name[source], by_name[target]
-        arcs = []
+        triples = []
         seen: set[tuple[str, str]] = set()
         for j, arc in enumerate(_need(g, "arcs", list, ptr)):
             aptr = f"{ptr}/arcs/{j}"
@@ -98,8 +91,8 @@ def load_graph_set(data: dict) -> GraphSet:
             if (frm, to) in seen:
                 raise SchemaError(aptr, f"second arc between {frm!r} and {to!r}")
             seen.add((frm, to))
-            arcs.append(Arc(src, ArcKind(kind), tgt))
-        graphs.append(SizeChangeGraph(src_sig, tgt_sig, tuple(arcs)))
+            triples.append((src, kind == "strict", tgt))
+        graphs.append(SizeChangeGraph._of_triples(src_sig, tgt_sig, triples))
         names.append(name)
     return _build("/graphs", GraphSet, tuple(by_name.values()), tuple(graphs), tuple(names))
 

@@ -4,11 +4,17 @@ Concrete syntax: keywords if/then/else; connectives &&, || and !; comparisons
 <, <=; equality atoms x=0, x=1 and the extension x=c; definitions separated
 by newlines or ';' (a definition is self-delimiting, so plain juxtaposition
 also works); comments run from '#' to end of line.
+
+The lexer is one compiled pattern that yields (kind, text, offset) tuples;
+a line and column are worked out from an offset only when a ParseError or a
+Diagnostic is made.  Calls are labeled in document order as they are met;
+extraction (sct.extract) reads the call sites from the finished tree.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import re
+from bisect import bisect_left
 
 from .graphs import FunSig
 from .record import record
@@ -16,7 +22,6 @@ from .syntax import (
     And,
     BoolExpr,
     Call,
-    CallSiteId,
     CondExpr,
     Const,
     EqConst,
@@ -63,139 +68,127 @@ class ValidationError(SourceError):
         self.diagnostics = diagnostics
 
 
-_KEYWORDS = {"if", "then", "else"}
-
 # The deepest nesting a program may use.  One level is a call's or an
 # operator's arguments, a then-branch, the operand of `!`, a parenthesized
 # condition, or an operand of `&&` or `||` (a chain of n operands nests n-1
-# deep, as it is built left-associated).  The parser, format_program, call
-# site enumeration, hashing and comparing conditions and the evaluator
-# recurse at most five frames per level, so each stays well inside Python's
+# deep, as it is built left-associated).  The parser, format_program,
+# extraction, hashing and comparing conditions and the evaluator recurse at
+# most five frames per level, so each stays well inside Python's
 # default recursion limit of 1000.
 MAX_NESTING = 128
 
 # the binary connectives, loosest first
 _BINARY = (("||", Or), ("&&", And))
 
+# a token: (kind, text, offset of its first character)
+_Lexeme = tuple[str, str, int]
 
-@record
-class _Token:
-    kind: str  # "ident", "number", "eof", or a punctuation string
-    text: str
-    line: int
-    col: int
-
-
-def _lex(text: str) -> Iterator[_Token]:
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = word if word in _KEYWORDS else "ident"
-            yield _Token(kind, word, line, start_col)
-            col += j - i
-            i = j
-            continue
-        if "0" <= c <= "9":  # ASCII only: str.isdigit also accepts '²'
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            yield _Token("number", text[i:j], line, start_col)
-            col += j - i
-            i = j
-            continue
-        two = text[i : i + 2]
-        if two in ("<=", "&&", "||"):
-            yield _Token(two, two, line, start_col)
-            i += 2
-            col += 2
-            continue
-        if c in "(),;=+-<!":
-            yield _Token(c, c, line, start_col)
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, start_col)
-    yield _Token("eof", "", line, col)
+# One alternative per token class, named by its group: a "sym" token
+# (keyword or punctuation) is its own kind, "ident" and "number" are kinds,
+# and whitespace (\s, as str.isspace) and comments make no token.  A word
+# (\w, as str.isalnum or "_") that starts outside ASCII is "other": it is an
+# identifier when it starts with a letter (str.isalpha), as '½' or '²' does not.
+_TOKEN = re.compile(
+    r"(?P<sym>(?:if|then|else)\b|<=|&&|\|\||[(),;=+<!-])"
+    r"|(?P<ident>[A-Za-z_]\w*)"
+    r"|(?P<number>[0-9]+)"  # ASCII only: \d also takes other scripts' digits
+    r"|(?P<comment>#.*)"
+    r"|\s+"
+    r"|(?P<other>\w+|.)"  # a word that starts outside ASCII, or a stray character
+)
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = list(_lex(text))
+        self.text = text
+        self.newlines: list[int] | None = None  # newline offsets, found on first use
+        self.tokens = self.lex()
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
         # (callee token, argument count) per call, in document order; the
         # index of a call here is its label
-        self.calls: list[tuple[_Token, int]] = []
+        self.calls: list[tuple[_Lexeme, int]] = []
         self.params: tuple[str, ...] = ()
         # the nesting level being parsed, and the deepest level reached
         self.depth = self.peak = 0
 
-    # -- token plumbing
+    # -- tokens: (kind, text, offset) tuples
 
-    def peek(self) -> _Token:
+    def lex(self) -> list[_Lexeme]:
+        """The tokens of the text, ending in one "eof" token."""
+        text = self.text
+        tokens: list[_Lexeme] = []
+        append = tokens.append
+        end = len(text)
+        for m in _TOKEN.finditer(text):
+            kind = m.lastgroup
+            if kind is None:
+                continue
+            word = m.group()
+            if kind == "sym":
+                append((word, word, m.start()))
+            elif kind == "other":
+                if not (word[0].isalpha() or word[0] == "_"):
+                    raise self.error(f"unexpected character {word[0]!r}", m.start())
+                append(("ident", word, m.start()))
+            elif kind == "comment":
+                if m.end() == end:  # a comment does not advance the column
+                    end = m.start()
+            else:
+                append((kind, word, m.start()))
+        append(("eof", "", end))
+        return tokens
+
+    def where(self, offset: int) -> tuple[int, int]:
+        """The line and column of offset; only a newline starts a line."""
+        if self.newlines is None:
+            self.newlines = [m.start() for m in re.finditer("\n", self.text)]
+        line = bisect_left(self.newlines, offset)
+        return line + 1, offset - (self.newlines[line - 1] if line else -1)
+
+    def error(self, message: str, offset: int) -> ParseError:
+        return ParseError(message, *self.where(offset))
+
+    def peek(self) -> _Lexeme:
         return self.tokens[self.pos]  # advance() never moves past "eof"
 
-    def advance(self) -> _Token:
+    def advance(self) -> _Lexeme:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                f"expected {what}, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.col,
-            )
-        return self.advance()
+    def expect(self, kind: str, what: str) -> _Lexeme:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            raise self.error(f"expected {what}, found {tok[1] or 'end of input'!r}", tok[2])
+        self.pos += 1  # kind is never "eof"
+        return tok
 
-    def report(self, message: str, tok: _Token) -> None:
-        self.diagnostics.append(Diagnostic(message, tok.line, tok.col))
+    def report(self, message: str, tok: _Lexeme) -> None:
+        self.diagnostics.append(Diagnostic(message, *self.where(tok[2])))
 
-    def nest(self, tok: _Token) -> None:
+    def nest(self, tok: _Lexeme) -> None:
         """Enter one more level of nesting at tok; the caller leaves it."""
         self.depth += 1
         self.peak = max(self.peak, self.depth)
         if self.peak > MAX_NESTING:
-            raise ParseError(f"nested deeper than {MAX_NESTING} levels", tok.line, tok.col)
+            raise self.error(f"nested deeper than {MAX_NESTING} levels", tok[2])
 
     # -- grammar
 
     def program(self) -> Program:
         defs: list[FunDef] = []
-        headers: list[_Token] = []
-        while self.peek().kind == ";":
+        headers: list[_Lexeme] = []
+        while self.peek()[0] == ";":
             self.advance()
-        if self.peek().kind == "eof":
-            tok = self.peek()
-            raise ParseError("empty program", tok.line, tok.col)
-        while self.peek().kind != "eof":
+        if self.peek()[0] == "eof":
+            raise self.error("empty program", self.peek()[2])
+        while self.peek()[0] != "eof":
             d, header = self.definition()
             defs.append(d)
             headers.append(header)
-            while self.peek().kind == ";":
+            while self.peek()[0] == ";":
                 self.advance()
         table: dict[str, FunSig] = {}
         for d, header in zip(defs, headers):
@@ -204,34 +197,34 @@ class _Parser:
             else:
                 table[d.sig.name] = d.sig
         for tok, nargs in self.calls:
-            sig = table.get(tok.text)
+            sig = table.get(tok[1])
             if sig is None:
-                self.report(f"call to undefined function {tok.text!r}", tok)
+                self.report(f"call to undefined function {tok[1]!r}", tok)
             elif sig.arity != nargs:
-                self.report(f"{tok.text} expects {sig.arity} argument(s), got {nargs}", tok)
+                self.report(f"{tok[1]} expects {sig.arity} argument(s), got {nargs}", tok)
         if self.diagnostics:
             raise ValidationError(self.diagnostics)
         return Program(tuple(defs))
 
-    def definition(self) -> tuple[FunDef, _Token]:
+    def definition(self) -> tuple[FunDef, _Lexeme]:
         header = self.expect("ident", "a function definition")
         self.expect("(", "'('")
-        params = [self.expect("ident", "a parameter name").text]
-        while self.peek().kind == ",":
+        params = [self.expect("ident", "a parameter name")[1]]
+        while self.peek()[0] == ",":
             self.advance()
-            params.append(self.expect("ident", "a parameter name").text)
+            params.append(self.expect("ident", "a parameter name")[1])
         self.expect(")", "')'")
         try:
-            sig = FunSig(header.text, tuple(params))
+            sig = FunSig(header[1], tuple(params))
         except ValueError as exc:
-            raise ValidationError([Diagnostic(str(exc), header.line, header.col)]) from None
+            raise ValidationError([Diagnostic(str(exc), *self.where(header[2]))]) from None
         self.expect("=", "'='")
         self.params = sig.params
         return FunDef(sig, self.cond_expr()), header
 
     def cond_expr(self) -> CondExpr:
         branches = []  # an else-if chain is read by a loop, not by recursion
-        while self.peek().kind == "if":
+        while self.peek()[0] == "if":
             self.advance()
             cond = self.bool_expr()
             self.nest(self.expect("then", "'then'"))
@@ -250,7 +243,7 @@ class _Parser:
         op, make = _BINARY[level]
         outer, self.peak = self.peak, self.depth
         node = self.bool_expr(level + 1)
-        while self.peek().kind == op:
+        while self.peek()[0] == op:
             tok = self.advance()
             self.peak += 1  # the chain so far becomes the left operand, one level down
             self.nest(tok)
@@ -260,7 +253,7 @@ class _Parser:
         return node
 
     def bool_not(self) -> BoolExpr:
-        if self.peek().kind == "!":
+        if self.peek()[0] == "!":
             self.nest(self.advance())
             node = Not(self.bool_not())
             self.depth -= 1
@@ -269,66 +262,65 @@ class _Parser:
 
     def bool_atom(self) -> BoolExpr:
         tok = self.peek()
-        if tok.kind == "(":
+        if tok[0] == "(":
             self.nest(self.advance())
             node = self.bool_expr()
             self.expect(")", "')'")
             self.depth -= 1
             return node
-        name = self.expect("ident", "a comparison").text
+        name = self.expect("ident", "a comparison")[1]
         self.check_param(name, tok)
         op = self.peek()
-        if op.kind == "=":
+        if op[0] == "=":
             self.advance()
             lit = self.expect("number", "a literal")
-            return EqConst(name, int(lit.text))
-        if op.kind in ("<", "<="):
+            return EqConst(name, int(lit[1]))
+        if op[0] in ("<", "<="):
             self.advance()
             right_tok = self.peek()
-            right = self.expect("ident", "a parameter name").text
+            right = self.expect("ident", "a parameter name")[1]
             self.check_param(right, right_tok)
-            return Lt(name, right) if op.kind == "<" else Le(name, right)
-        raise ParseError(f"expected '=', '<' or '<=' after {name!r}", op.line, op.col)
+            return Lt(name, right) if op[0] == "<" else Le(name, right)
+        raise self.error(f"expected '=', '<' or '<=' after {name!r}", op[2])
 
     def arith_expr(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "number":
+        if tok[0] == "number":
             self.advance()
-            return Const(int(tok.text))
+            return Const(int(tok[1]))
         ident = self.expect("ident", "an expression")
-        nxt = self.peek()
-        if nxt.kind == "(":
+        name = ident[1]
+        nxt = self.peek()[0]
+        if nxt == "(":
             self.nest(self.advance())
             label = len(self.calls)  # a call precedes the calls in its arguments
-            if ident.text not in PRIM_OPS:
+            if name not in PRIM_OPS:
                 self.calls.append((ident, -1))  # the count is known after the arguments
             args: list[Expr] = []
-            if self.peek().kind != ")":
+            if self.peek()[0] != ")":
                 args.append(self.arith_expr())
-                while self.peek().kind == ",":
+                while self.peek()[0] == ",":
                     self.advance()
                     args.append(self.arith_expr())
             self.expect(")", "')'")
             self.depth -= 1
-            if ident.text in PRIM_OPS:
+            if name in PRIM_OPS:
                 if len(args) != 2:
-                    self.report(f"{ident.text} expects 2 arguments, got {len(args)}", ident)
-                return PrimOp(ident.text, tuple(args))
+                    self.report(f"{name} expects 2 arguments, got {len(args)}", ident)
+                return PrimOp(name, tuple(args))
             self.calls[label] = (ident, len(args))
-            return Call(ident.text, tuple(args), label)
-        if nxt.kind in ("+", "-"):
+            return Call(name, tuple(args), label)
+        if nxt in ("+", "-"):
             self.advance()
             lit = self.expect("number", "the literal 1")
-            if lit.text != "1":
-                raise ParseError(
-                    f"only {ident.text}+1 and {ident.text}-1 are allowed", lit.line, lit.col
-                )
-            self.check_param(ident.text, ident)
-            return Succ(ident.text) if nxt.kind == "+" else Pred(ident.text)
-        self.check_param(ident.text, ident)
-        return Var(ident.text)
+            if lit[1] != "1":
+                raise self.error(f"only {name}+1 and {name}-1 are allowed", lit[2])
+            self.check_param(name, ident)
+            return Succ(name) if nxt == "+" else Pred(name)
+        self.check_param(name, ident)
+        return Var(name)
 
-    def check_param(self, name: str, tok: _Token) -> None:
+    def check_param(self, name: str, tok: _Lexeme) -> None:
         if name not in self.params:
             self.report(f"unknown parameter {name!r}", tok)
 
@@ -340,62 +332,3 @@ def parse_program(text: str) -> Program:
     collected diagnostics) on semantic ones.
     """
     return _Parser(text).program()
-
-
-# --- call sites and the parameters their guards force positive ---------------
-
-
-@record
-class CallSite:
-    id: CallSiteId
-    caller: FunSig
-    callee: FunSig
-    args: tuple[Expr, ...]
-    positive: frozenset[str]  # the caller's parameters the path's branches force > 0
-
-
-def _forced_positive(cond: BoolExpr, holds: bool) -> frozenset[str]:
-    """The parameters that one branch outcome, cond evaluating to holds, forces > 0.
-
-    Closed rule set, deliberately without transitive reasoning: a failed x=0
-    test, a passed x=c test with c >= 1 (x=1 among them), or a passed y<x
-    test.  Nothing is inferred through !, &&, || or <=.
-    """
-    match cond:
-        case EqConst(p, 0) if not holds:
-            return frozenset((p,))
-        case EqConst(p, c) if holds and c >= 1:
-            return frozenset((p,))
-        case Lt(_, r) if holds:
-            return frozenset((r,))
-    return frozenset()
-
-
-def enumerate_call_sites(program: Program) -> list[CallSite]:
-    """All call occurrences with the parameters their guards force positive, by label."""
-    table = {d.sig.name: d.sig for d in program.defs}
-    sites: list[CallSite] = []
-
-    def walk_expr(e: Expr, caller: FunSig, positive: frozenset[str]) -> None:
-        match e:
-            case Call(fun, args, label):
-                sites.append(CallSite(label, caller, table[fun], args, positive))
-                for a in args:
-                    walk_expr(a, caller, positive)
-            case PrimOp(_, args):
-                for a in args:
-                    walk_expr(a, caller, positive)
-            case _:
-                pass
-
-    def walk_cond(c: CondExpr, caller: FunSig, positive: frozenset[str]) -> None:
-        while isinstance(c, If):  # along else-if chains without recursion
-            walk_cond(c.then, caller, positive | _forced_positive(c.cond, True))
-            c, positive = c.orelse, positive | _forced_positive(c.cond, False)
-        walk_expr(c, caller, positive)
-
-    for d in program.defs:
-        walk_cond(d.body, d.sig, frozenset())
-    if [s.id for s in sites] != list(range(len(sites))):
-        raise ValueError("call sites are not labeled in document order")
-    return sites

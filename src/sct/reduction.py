@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .colorings import EPColoring, spp_witness
+from .colorings import EPColoring
 from .graphs import Arc, ArcKind, FunSig, GraphSet, LassoMultipath, SizeChangeGraph
 from .record import record
 
@@ -224,14 +224,3 @@ def build_reversal_multipath(c: EPColoring) -> ReversalRun:
     lasso = LassoMultipath(tuple(word[:start]), tuple(word[start:]))
     return ReversalRun(lasso, GraphSet.of(distinct), tuple(a for _, a in steps))
 
-
-def recurring_vs_active(c: EPColoring, index_set: IndexSet) -> tuple[bool, bool]:
-    """Two views of "this subset matters forever", returned side by side.
-
-    Left: every color of the subset recurs in the coloring.  Right: the
-    subset is active at some step of the detected cycle.  The two agree.
-    """
-    run = build_reversal_multipath(c)
-    recurs = set(index_set.members) <= spp_witness(c)
-    active = any(index_set in a for a in run.period_actives)
-    return recurs, active

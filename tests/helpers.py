@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sct import Arc, ArcKind, CompositionError, FunSig, GraphSet, SizeChangeGraph
 from sct.extract import Mode
 from sct.interp import Fuel, OutOfFuel, SafetyReport, State, Transition, Violation
+from sct.parser import ParseError
 from sct.syntax import (
     And,
     Call,
@@ -358,14 +359,6 @@ def reference_forces_positive(path, param: str) -> bool:
     return False
 
 
-def reference_positive(program: Program) -> list[frozenset[str]]:
-    """`CallSite.positive` per call site, by label, from the whole guard path."""
-    return [
-        frozenset(p for p in caller.params if reference_forces_positive(path, p))
-        for caller, _, _, path in reference_guard_paths(program)
-    ]
-
-
 def reference_description(program: Program, mode: Mode) -> tuple[SizeChangeGraph, ...]:
     """`extract_description`'s graphs, with x-1 decided by scanning the guard path."""
     graphs = []
@@ -380,3 +373,52 @@ def reference_description(program: Program, mode: Mode) -> tuple[SizeChangeGraph
                 arcs.append(Arc(caller.index_of(a.name), kind, j))
         graphs.append(SizeChangeGraph(caller, callee, tuple(arcs)))
     return tuple(graphs)
+
+
+def reference_lex(text: str) -> list[tuple[str, str, int, int]]:
+    """(kind, text, line, col) per token, read one character at a time.
+
+    The plain reference for the parser's one-pattern lexer; raises the same
+    ParseError on a character that starts no token.
+    """
+    tokens = []
+    line, col, i = 1, 1, 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c.isspace():
+            i += 1
+            col += 1
+            continue
+        if c == "#":  # the column stays at the '#'
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            tokens.append((word if word in ("if", "then", "else") else "ident", word, line, col))
+        elif "0" <= c <= "9":  # ASCII only: str.isdigit also accepts '²'
+            j = i
+            while j < n and "0" <= text[j] <= "9":
+                j += 1
+            tokens.append(("number", text[i:j], line, col))
+        elif text[i : i + 2] in ("<=", "&&", "||"):
+            j = i + 2
+            tokens.append((text[i:j], text[i:j], line, col))
+        elif c in "(),;=+-<!":
+            j = i + 1
+            tokens.append((c, c, line, col))
+        else:
+            raise ParseError(f"unexpected character {c!r}", line, col)
+        col += j - i
+        i = j
+    tokens.append(("eof", "", line, col))
+    return tokens

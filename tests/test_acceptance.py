@@ -41,11 +41,10 @@ from sct.reduction import (
     IndexSet,
     build_reversal_multipath,
     index_sets,
-    recurring_vs_active,
     spp_reduction_family,
     warmup_family,
 )
-from test_reduction import all_colorings, random_coloring
+from test_reduction import all_colorings, random_coloring, recurring_and_active
 
 
 @contextmanager
@@ -181,9 +180,8 @@ def test_c7_reversal_construction():
             params = witness.params
             assert target in params
             extra_params += len(params) - 1
-            for index_set in index_sets(coloring.k):
-                lhs, rhs = recurring_vs_active(coloring, index_set)
-                assert lhs == rhs
+            for recurs, active in recurring_and_active(coloring).values():
+                assert recurs == active
 
         for k in (1, 2):
             for coloring in all_colorings(k, max_prefix=3, max_period=4):

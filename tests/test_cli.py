@@ -240,6 +240,31 @@ class TestFixtures:
         ]
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be written is an input error (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "argv, target, reason",
+        [
+            (["extract", "ackermann.sct", "-o", "missing/x.json"], "missing/x.json",
+             "No such file or directory"),
+            (["synth", "ackermann-graphs.json", "-o", "."], ".", "Is a directory"),
+            (["principles", "spp-family", "--k", "2", "-o", "missing/x.json"], "missing/x.json",
+             "No such file or directory"),
+            (["fixtures", "-o", "ackermann.sct/sub"], "ackermann.sct/sub", "Not a directory"),
+            (["fixtures", "-o", "ackermann.sct"], "ackermann.sct", "File exists"),
+        ],
+        ids=["extract", "synth", "spp-family", "fixtures-under-file", "fixtures-onto-file"],
+    )
+    def test_exits_2(self, capsys, fixture_dir, monkeypatch, argv, target, reason):
+        monkeypatch.chdir(fixture_dir)
+        capsys.readouterr()  # what writing the fixtures printed
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {target}: {reason}\n"
+
+
 # sha256 of stdout and the exit code of whole `sct` processes run in the
 # fixtures directory; stdout must not depend on the hash seed
 GOLDEN = {

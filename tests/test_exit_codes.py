@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import FUNS, PARAMS, program_text
-from sct import SourceError, enumerate_call_sites, parse_program
+from helpers import FUNS, PARAMS, program_text, reference_guard_paths
+from sct import SourceError, parse_program
 from sct.cli import main
+from sct.extract import Mode, extract_description
 from sct.parser import MAX_NESTING
 from sct.syntax import format_program
 
@@ -62,8 +63,9 @@ def test_labels_follow_document_order(text):
         program = parse_program(text)
     except SourceError:
         return
-    sites = enumerate_call_sites(program)
-    assert [s.id for s in sites] == list(range(len(sites)))
+    # extraction rejects labels out of document order; the reference walk
+    # finds each call by its label
+    assert len(extract_description(program, Mode.GUARDED)) == len(reference_guard_paths(program))
     assert parse_program(format_program(program)) == program
 
 

@@ -7,43 +7,41 @@ from helpers import (
     program_text,
     random_functional_graph_set,
     reference_description,
-    reference_positive,
 )
 from sct import (
     Arc,
     ArcKind,
-    FunSig,
     SourceError,
     parse_program,
     sample_safety,
     synthesize,
 )
-from sct.extract import Mode, arc_for_argument, extract_description, extract_graph
-from sct.parser import enumerate_call_sites
-from sct.syntax import Call, Const, Pred, PrimOp, Succ, Var
+from sct.extract import Mode, extract_description
+from sct.syntax import Call, Const, PrimOp, Succ, Var, format_expr
 
 
-@pytest.fixture
-def caller():
-    return FunSig("f", ("x", "y"))
+def arcs_of(text: str, mode: Mode) -> tuple[Arc, ...]:
+    """The arcs of the first call site of text."""
+    return extract_description(parse_program(text), mode)[0].arcs
 
 
 class TestArcForArgument:
-    def test_guarded_decrement(self, caller):
-        arc = arc_for_argument(Pred("x"), 0, caller, frozenset({"x"}), Mode.GUARDED)
-        assert arc == Arc(0, ArcKind.STRICT, 0)
+    def test_guarded_decrement(self):
+        # x=0 failed, so x > 0 and x-1 decreases strictly
+        arcs = arcs_of("f(x, y) = if x=0 then 0 else f(x-1, y)", Mode.GUARDED)
+        assert arcs == (Arc(0, ArcKind.STRICT, 0), Arc(1, ArcKind.NONSTRICT, 1))
 
-    def test_unguarded_decrement_weakens(self, caller):
-        arc = arc_for_argument(Pred("x"), 1, caller, frozenset({"y"}), Mode.GUARDED)
-        assert arc == Arc(0, ArcKind.NONSTRICT, 1)
+    def test_unguarded_decrement_weakens(self):
+        arcs = arcs_of("f(x, y) = if y=0 then 0 else f(y, x-1)", Mode.GUARDED)
+        assert arcs == (Arc(0, ArcKind.NONSTRICT, 1), Arc(1, ArcKind.NONSTRICT, 0))
 
-    def test_syntactic_decrement_is_strict(self, caller):
-        arc = arc_for_argument(Pred("x"), 1, caller, frozenset(), Mode.SYNTACTIC)
-        assert arc == Arc(0, ArcKind.STRICT, 1)
+    def test_syntactic_decrement_is_strict(self):
+        arcs = arcs_of("f(x, y) = f(y, x-1)", Mode.SYNTACTIC)
+        assert arcs == (Arc(0, ArcKind.STRICT, 1), Arc(1, ArcKind.NONSTRICT, 0))
 
-    def test_plain_variable(self, caller):
-        arc = arc_for_argument(Var("y"), 0, caller, frozenset(), Mode.GUARDED)
-        assert arc == Arc(1, ArcKind.NONSTRICT, 0)
+    def test_plain_variable(self):
+        arcs = arcs_of("f(x, y) = f(y, x+1)", Mode.GUARDED)
+        assert arcs == (Arc(1, ArcKind.NONSTRICT, 0),)
 
     @pytest.mark.parametrize(
         "expr",
@@ -54,9 +52,10 @@ class TestArcForArgument:
             Call("f", (Var("x"), Var("y"))),
         ],
     )
-    def test_unknown_or_increasing(self, caller, expr):
-        assert arc_for_argument(expr, 0, caller, frozenset(), Mode.GUARDED) is None
-        assert arc_for_argument(expr, 0, caller, frozenset(), Mode.SYNTACTIC) is None
+    def test_unknown_or_increasing(self, expr):
+        text = f"f(x, y) = f({format_expr(expr)}, y)"
+        for mode in Mode:
+            assert arcs_of(text, mode) == (Arc(1, ArcKind.NONSTRICT, 1),)
 
 
 class TestExtractGraph:
@@ -65,9 +64,7 @@ class TestExtractGraph:
         assert ack_description.sites == (g01, g01, g2)
 
     def test_increasing_argument_yields_empty_graph(self):
-        p = parse_program("f(x) = g(x+1)\ng(x) = x")
-        (site,) = enumerate_call_sites(p)
-        assert extract_graph(site, Mode.GUARDED).arcs == ()
+        assert arcs_of("f(x) = g(x+1)\ng(x) = x", Mode.GUARDED) == ()
 
     def test_call_free_program(self):
         p = parse_program("f(x) = x")
@@ -102,14 +99,12 @@ class TestModes:
 
 
 def assert_matches_guard_paths(program):
-    sites = enumerate_call_sites(program)
-    assert [s.positive for s in sites] == reference_positive(program)
     for mode in Mode:
         assert extract_description(program, mode).sites == reference_description(program, mode)
 
 
 class TestAgainstGuardPaths:
-    """Positive sets and both modes against a scan of each site's whole guard path."""
+    """Both modes against a scan of each site's whole guard path."""
 
     def test_synthesized_programs(self):
         rng = random.Random(23)

@@ -141,8 +141,6 @@ SAMPLES = {
     interp.SafetyReport: ([], 3, 1),
     oracle.OracleReport: (LASSO, 4, 10),
     parser.Diagnostic: ("unknown parameter 'z'", 1, 9),
-    parser._Token: ("ident", "x", 2, 5),
-    parser.CallSite: (0, SIG, SIG, (syntax.Var("x"), syntax.Var("y")), frozenset({"x"})),
     reduction.IndexSet: ((0, 2),),
     reduction.ChoiceState: (2, reduction.initial_chi(2).choices),
     reduction.ReversalRun: (LASSO, GS, (frozenset({reduction.IndexSet((0,))}),) * 2),

@@ -1,27 +1,32 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_functional_graph_set
+from helpers import program_text, random_functional_graph_set, reference_lex
 from sct import (
+    ArcKind,
     FunSig,
     ParseError,
     ValidationError,
-    enumerate_call_sites,
     parse_program,
     synthesize,
 )
-from sct.parser import MAX_NESTING
+from sct.extract import Mode, extract_description
+from sct.parser import MAX_NESTING, _Parser
 from sct.syntax import (
     And,
     Call,
     Const,
     EqConst,
     FunDef,
+    If,
     Not,
     Or,
     Pred,
     Program,
+    Succ,
     Var,
     format_program,
 )
@@ -37,14 +42,14 @@ CORPUS = [
 
 class TestParse:
     def test_ackermann_shape(self, ackermann):
-        assert len(ackermann.defs) == 1
-        sites = enumerate_call_sites(ackermann)
-        assert [s.id for s in sites] == [0, 1, 2]
-        assert sites[0].args == (Pred("x"), Const(1))
-        outer = sites[1]
-        assert outer.args[0] == Pred("x")
-        assert outer.args[1] == Call("A", (Var("x"), Pred("y")), 2)
-        assert sites[2].args == (Var("x"), Pred("y"))
+        (d,) = ackermann.defs
+        # labels in document order: a call before the calls in its arguments
+        inner = Call("A", (Var("x"), Pred("y")), 2)
+        assert d.body == If(
+            EqConst("x", 0),
+            Succ("y"),
+            If(EqConst("y", 0), Call("A", (Pred("x"), Const(1)), 0), Call("A", (Pred("x"), inner), 1)),
+        )
 
     def test_empty_input(self):
         with pytest.raises(ParseError):
@@ -132,6 +137,80 @@ class TestParse:
         assert a == b == c
 
 
+def lexed(text: str):
+    """The parser's tokens as (kind, text, line, col), or its ParseError's text."""
+    try:
+        parser = _Parser(text)
+    except ParseError as exc:
+        return str(exc)
+    return [(kind, word, *parser.where(offset)) for kind, word, offset in parser.tokens]
+
+
+def reference_lexed(text: str):
+    try:
+        return reference_lex(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+LEX_CASES = [
+    # an identifier starts with a letter (str.isalpha) or "_", and goes on
+    # with letters, digits (str.isalnum) and "_"
+    "f(x)=½",
+    "f(x)=Ⅻ",
+    "f(x)=x²",
+    "f(x)=²",
+    "f(é)=é+1",
+    "_x(y)=_x(y)",
+    "f(x)=x1٣ + ٣",
+    "if iffy then1 else_ ifé",
+    # only "\n" starts a line; other whitespace is one column each
+    "f(x)=\u00a0x\u2028+1",
+    "f(x)=\r\n\tx\r\n",
+    "\tf(x)\t=\n\n  x",
+    # a comment does not advance the column, so end of input right after one
+    # is reported at its '#'
+    "f(x)= #c",
+    "f(x)= #c\n",
+    "f(x)=x#c\n#d",
+    "# only a comment",
+    "",
+    "a<=b&&c||!d;e=f+1-2<g,(h)",
+    "a & b",
+    "a | b",
+    "a > b",
+    "f(x) = $",
+]
+
+
+class TestLexer:
+    """The one-pattern lexer against a plain character-at-a-time reference."""
+
+    @pytest.mark.parametrize("text", LEX_CASES)
+    def test_edge_cases(self, text):
+        assert lexed(text) == reference_lexed(text)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(program_text() | st.text(max_size=40))
+    def test_generated_text(self, text):
+        assert lexed(text) == reference_lexed(text)
+
+    def test_end_of_input_after_a_comment(self):
+        with pytest.raises(ParseError, match="^1:7: expected an expression, found 'end of input'$"):
+            parse_program("f(x)= #c")
+
+    def test_many_diagnostics(self):
+        text = "".join(f"f{i}(x) = g(y)\n" for i in range(2000))
+        tokens = reference_lex(text)
+
+        def at(word):
+            return [(line, col) for _, w, line, col in tokens if w == word]
+
+        with pytest.raises(ValidationError) as exc:
+            parse_program(text)
+        assert [(d.line, d.col) for d in exc.value.diagnostics] == at("y") + at("g")
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("text", CORPUS)
     def test_corpus_fixpoint(self, text):
@@ -152,43 +231,53 @@ class TestRoundTrip:
         assert parse_program(text) == parse_program(text)
 
 
+def positive(text: str) -> list[frozenset[str]]:
+    """Per call site, the caller's parameters whose x-1 argument extraction
+    makes strict in guarded mode: those its guards force > 0, when the call
+    passes x-1 for every parameter x."""
+    description = extract_description(parse_program(text), Mode.GUARDED)
+    return [
+        frozenset(g.source.params[a.src] for a in g.arcs if a.kind is ArcKind.STRICT)
+        for g in description.sites
+    ]
+
+
 class TestGuards:
-    def test_ackermann_contexts(self, ackermann):
-        sites = enumerate_call_sites(ackermann)
-        # x=0 failed and y=0 passed; then x=0 and y=0 both failed
-        assert [s.positive for s in sites] == [{"x"}, {"x", "y"}, {"x", "y"}]
+    def test_ackermann_contexts(self):
+        # Ackermann's guards: x=0 failed and y=0 passed; then x=0 and y=0 both failed
+        text = (
+            "A(x, y) = if x=0 then y+1 else if y=0 then A(x-1, y-1)"
+            " else plus(A(x-1, y-1), A(x-1, y-1))"
+        )
+        assert positive(text) == [{"x"}, {"x", "y"}, {"x", "y"}]
 
     def test_comparison_guard(self):
-        p = parse_program("f(x, y) = if x<y then f(y, y) else x")
-        (site,) = enumerate_call_sites(p)
-        assert site.positive == {"y"}
+        assert positive("f(x, y) = if x<y then f(x-1, y-1) else x") == [{"y"}]
 
     def test_facts_are_exactly_the_branch_conditions(self):
         # the outcomes along then and else are united; ! and <= force nothing
-        p = parse_program(
-            "f(x, y) = if x<=y then if !(x=0) then f(x-1, y) else if y=2 then f(x, y-1) else x"
-            " else if x=0 then x else f(x-1, y)"
+        first, second, third = positive(
+            "f(x, y) = if x<=y then if !(x=0) then f(x-1, y-1) else if y=2 then f(x-1, y-1) else x"
+            " else if x=0 then x else f(x-1, y-1)"
         )
-        first, second, third = enumerate_call_sites(p)
-        assert first.positive == frozenset()
-        assert second.positive == {"y"}
-        assert third.positive == {"x"}
+        assert first == frozenset()
+        assert second == {"y"}
+        assert third == {"x"}
 
     def test_no_calls_no_sites(self):
-        assert enumerate_call_sites(parse_program("f(x) = plus(x, 1)")) == []
+        assert extract_description(parse_program("f(x) = plus(x, 1)"), Mode.GUARDED).sites == ()
 
     def test_unlabeled_program_is_rejected(self):
         # built by hand, so the call keeps the default label -1
         f = FunSig("f", ("x",))
         program = Program((FunDef(f, Call("f", (Pred("x"),))),))
         with pytest.raises(ValueError, match="labeled"):
-            enumerate_call_sites(program)
+            extract_description(program, Mode.GUARDED)
 
 
 def forced(cond: str, holds: bool) -> frozenset[str]:
     """The parameters of f(x, y) that cond evaluating to holds forces > 0."""
-    sites = enumerate_call_sites(parse_program(f"f(x, y) = if {cond} then f(x, y) else f(y, x)"))
-    return sites[0 if holds else 1].positive
+    return positive(f"f(x, y) = if {cond} then f(x-1, y-1) else f(x-1, y-1)")[0 if holds else 1]
 
 
 class TestImpliesPositive:
@@ -196,8 +285,7 @@ class TestImpliesPositive:
         assert forced("x=0", False) == {"x"}
 
     def test_empty_context(self):
-        (site,) = enumerate_call_sites(parse_program("f(x, y) = f(x-1, y)"))
-        assert site.positive == frozenset()
+        assert positive("f(x, y) = f(x-1, y-1)") == [frozenset()]
 
     def test_strict_upper_neighbor(self):
         assert forced("y<x", True) == {"x"}

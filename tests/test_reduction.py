@@ -19,7 +19,6 @@ from sct.reduction import (
     graph_for,
     index_sets,
     initial_chi,
-    recurring_vs_active,
     spp_reduction_family,
     warmup_family,
 )
@@ -186,6 +185,20 @@ def assert_descent_at_witness_set(coloring):
     return witness.params
 
 
+def recurring_and_active(coloring):
+    """Two views of "this subset matters forever", per index set, from one run.
+
+    First: every color of the subset recurs in the coloring.  Second: the
+    subset is active at some step of the detected cycle.  The two agree.
+    """
+    run = build_reversal_multipath(coloring)
+    recurring = spp_witness(coloring)
+    return {
+        s: (set(s.members) <= recurring, any(s in a for a in run.period_actives))
+        for s in index_sets(coloring.k)
+    }
+
+
 class TestReversal:
     def test_alternating_pair(self):
         run = build_reversal_multipath(EPColoring(2, (), (0, 1)))
@@ -219,30 +232,16 @@ class TestReversal:
     def test_recurring_vs_active_agree_exhaustively(self):
         for k in (1, 2):
             for coloring in all_colorings(k):
-                for index_set in index_sets(k):
-                    lhs, rhs = recurring_vs_active(coloring, index_set)
-                    assert lhs == rhs
+                for recurs, active in recurring_and_active(coloring).values():
+                    assert recurs == active
 
     def test_recurring_vs_active_agree_exhaustively_k3(self):
-        # same check as recurring_vs_active, sharing one run per coloring
         for coloring in all_colorings(3):
-            run = build_reversal_multipath(coloring)
-            witness = spp_witness(coloring)
-            for index_set in index_sets(3):
-                lhs = set(index_set.members) <= witness
-                rhs = any(index_set in a for a in run.period_actives)
-                assert lhs == rhs
+            for recurs, active in recurring_and_active(coloring).values():
+                assert recurs == active
 
     def test_recurring_vs_active_examples(self):
-        assert recurring_vs_active(EPColoring(2, (), (0, 1)), IndexSet.of({0, 1})) == (
-            True,
-            True,
-        )
-        assert recurring_vs_active(EPColoring(2, (), (1,)), IndexSet.of({0})) == (
-            False,
-            False,
-        )
-        assert recurring_vs_active(EPColoring(1, (), (0,)), IndexSet.of({0})) == (
-            True,
-            True,
-        )
+        both = recurring_and_active(EPColoring(2, (), (0, 1)))
+        assert both[IndexSet.of({0, 1})] == (True, True)
+        assert recurring_and_active(EPColoring(2, (), (1,)))[IndexSet.of({0})] == (False, False)
+        assert recurring_and_active(EPColoring(1, (), (0,)))[IndexSet.of({0})] == (True, True)
