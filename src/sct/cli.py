@@ -184,7 +184,7 @@ def _cmd_spp_family(args) -> int:
 
 
 def _cmd_reversal(args) -> int:
-    from .colorings import EPColoring
+    from .colorings import EPColoring, spp_witness
     from .graphs import decide_periodic_descent
     from .reduction import build_reversal_multipath, index_sets
 
@@ -199,7 +199,7 @@ def _cmd_reversal(args) -> int:
             "k": args.k,
             "prefix": list(coloring.prefix),
             "period": list(coloring.period),
-            "recurring_colors": sorted(set(coloring.period)),
+            "recurring_colors": sorted(spp_witness(coloring)),
             "cycle": {
                 "prefix_len": len(run.lasso.prefix),
                 "period_len": len(run.lasso.period),

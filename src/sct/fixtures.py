@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from .extract import Description, Mode, extract_description
-from .graphs import Arc, ArcKind, FunSig, GraphSet, SizeChangeGraph
+from .graphs import FunSig, GraphSet, SizeChangeGraph
 from .jsonio import dumps, graph_set_to_json
 from .parser import parse_program
 from .reduction import warmup_family
@@ -32,15 +31,6 @@ def swap_graph_set() -> GraphSet:
         sig, sig, [("x", "nonstrict", "y"), ("y", "nonstrict", "x")]
     )
     return GraphSet.of((swap,), names=("S",))
-
-
-def corrupted_ackermann_description() -> Description:
-    """The guarded description with a bogus strict y-arc added to the first call."""
-    program = ackermann_program()
-    description = extract_description(program, Mode.GUARDED)
-    g = description.sites[0]
-    bad = SizeChangeGraph(g.source, g.target, g.arcs + (Arc(1, ArcKind.STRICT, 1),))
-    return Description((bad,) + description.sites[1:])
 
 
 def fixture_files() -> dict[str, str]:

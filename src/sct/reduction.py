@@ -15,7 +15,7 @@ import itertools
 from functools import lru_cache
 
 from .colorings import EPColoring
-from .graphs import Arc, ArcKind, FunSig, GraphSet, LassoMultipath, SizeChangeGraph
+from .graphs import FunSig, GraphSet, LassoMultipath, SizeChangeGraph
 from .record import record
 
 
@@ -53,9 +53,13 @@ class IndexSet:
 
 @lru_cache(maxsize=None)
 def index_sets(k: int) -> tuple[IndexSet, ...]:
-    """All nonempty subsets of the colors, ordered by (size, lexicographic)."""
-    if k < 1:
-        raise ValueError("need at least one color")
+    """All nonempty subsets of the colors, ordered by (size, lexicographic).
+
+    Bounded to 1 <= k <= 12: from k = 13 on the parameter names collide
+    ({12} and {1,2} are both z12), and the sets grow as 2^k.
+    """
+    if not 1 <= k <= 12:
+        raise ValueError(f"index sets are built for 1 <= k <= 12 colors, got k = {k}")
     sets = [
         IndexSet(combo)
         for size in range(1, k + 1)
@@ -117,24 +121,21 @@ def active_sets(state: ChoiceState, color: int) -> frozenset[IndexSet]:
     )
 
 
-def graph_for(state: ChoiceState, color: int) -> SizeChangeGraph:
-    """The size-change graph one (choice state, color) step contributes.
+def _family_graph(k: int, m: int, chosen) -> SizeChangeGraph:
+    """Strict self-arc on z_I for I at the chosen positions of index_sets(k),
+    all of size m; non-strict self-arc on every other z_I of size >= m."""
+    sig = family_signature(k)
+    triples = ((p, p in chosen, p) for p, s in enumerate(index_sets(k)) if s.size >= m)
+    return SizeChangeGraph._of_triples(sig, sig, triples)
 
-    With m the largest active-subset size: strict self-arc on z_I for active
-    I of size m, non-strict self-arc on inactive z_I of size >= m, no other
-    arcs.
-    """
-    k = state.k
+
+def graph_for(state: ChoiceState, color: int) -> SizeChangeGraph:
+    """The size-change graph one (choice state, color) step contributes: the
+    family graph strict on the active sets of the largest active size."""
     active = active_sets(state, color)
     m = max(s.size for s in active)
-    sig = family_signature(k)
-    arcs = []
-    for p, s in enumerate(index_sets(k)):
-        if s in active and s.size == m:
-            arcs.append(Arc(p, ArcKind.STRICT, p))
-        elif s not in active and s.size >= m:
-            arcs.append(Arc(p, ArcKind.NONSTRICT, p))
-    return SizeChangeGraph(sig, sig, tuple(arcs))
+    chosen = {p for p, s in enumerate(index_sets(state.k)) if s in active and s.size == m}
+    return _family_graph(state.k, m, chosen)
 
 
 def spp_reduction_family(k: int) -> GraphSet:
@@ -142,8 +143,8 @@ def spp_reduction_family(k: int) -> GraphSet:
 
     graph_for(state, c) depends only on c, the largest active size m and the
     active sets of size m with least element c (singletons are always active).
-    Each choice of those sets is built once, from the least state giving it:
-    S.last on the chosen sets, S.first elsewhere.  Distinct choices give
+    Each choice of those sets is built once, keyed by the least state giving
+    it: S.last on the chosen sets, S.first elsewhere.  Distinct choices give
     distinct strict arcs; sorting on (choices, c) gives the order in which
     the product over states, then colors, first meets each graph.  Bounded
     to 1 <= k <= 6: k = 7 has over a million graphs.
@@ -154,22 +155,21 @@ def spp_reduction_family(k: int) -> GraphSet:
     graphs: dict[tuple[tuple[int, ...], int], SizeChangeGraph] = {}
     for c in range(k):
         for m in range(1, k - c + 1):
-            candidates = [s for s in sets if s.first == c and s.size == m]
+            candidates = [p for p, s in enumerate(sets) if s.first == c and s.size == m]
             for r in range(1, len(candidates) + 1):
-                for chosen in itertools.combinations(candidates, r):
-                    choices = tuple(s.last if s in chosen else s.first for s in sets)
-                    graphs[choices, c] = graph_for(ChoiceState(k, choices), c)
+                for chosen in map(frozenset, itertools.combinations(candidates, r)):
+                    choices = tuple(s.last if p in chosen else s.first for p, s in enumerate(sets))
+                    graphs[choices, c] = _family_graph(k, m, chosen)
     return GraphSet.of(graphs[key] for key in sorted(graphs))
 
 
 def warmup_family() -> GraphSet:
     """The three-graph family on z0, z1, z2: graph i is strict on z_i, non-strict above."""
     sig = FunSig("f", ("z0", "z1", "z2"))
-    graphs = []
-    for i in range(3):
-        arcs = [Arc(i, ArcKind.STRICT, i)]
-        arcs += [Arc(j, ArcKind.NONSTRICT, j) for j in range(i + 1, 3)]
-        graphs.append(SizeChangeGraph(sig, sig, tuple(arcs)))
+    graphs = [
+        SizeChangeGraph._of_triples(sig, sig, ((j, j == i, j) for j in range(i, 3)))
+        for i in range(3)
+    ]
     return GraphSet.of(graphs, names=("G0", "G1", "G2"))
 
 
@@ -179,11 +179,6 @@ class ReversalRun:
 
     lasso: LassoMultipath
     graphs: GraphSet
-    actives: tuple[frozenset[IndexSet], ...]  # one entry per prefix+period position
-
-    @property
-    def period_actives(self) -> tuple[frozenset[IndexSet], ...]:
-        return self.actives[len(self.lasso.prefix):]
 
 
 def build_reversal_multipath(c: EPColoring) -> ReversalRun:
@@ -200,7 +195,8 @@ def build_reversal_multipath(c: EPColoring) -> ReversalRun:
 
     state = initial_chi(k)
     seen: dict[tuple[tuple[int, ...], int], int] = {}
-    steps: list[tuple[SizeChangeGraph, frozenset[IndexSet]]] = []
+    distinct: dict[SizeChangeGraph, int] = {}  # in first-appearance order
+    word = []
     x = 0
     while True:
         key = (state.choices, pos(x))
@@ -209,18 +205,8 @@ def build_reversal_multipath(c: EPColoring) -> ReversalRun:
             break
         seen[key] = x
         color = c.at(x)
-        steps.append((graph_for(state, color), active_sets(state, color)))
+        word.append(distinct.setdefault(graph_for(state, color), len(distinct)))
         state = chi_step(state, color)
         x += 1
-
-    distinct: list[SizeChangeGraph] = []
-    index: dict[SizeChangeGraph, int] = {}
-    word = []
-    for g, _ in steps:
-        if g not in index:
-            index[g] = len(distinct)
-            distinct.append(g)
-        word.append(index[g])
     lasso = LassoMultipath(tuple(word[:start]), tuple(word[start:]))
-    return ReversalRun(lasso, GraphSet.of(distinct), tuple(a for _, a in steps))
-
+    return ReversalRun(lasso, GraphSet.of(distinct))

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import itertools
 import operator
 import random
 
 from hypothesis import strategies as st
 
 from sct import Arc, ArcKind, CompositionError, FunSig, GraphSet, SizeChangeGraph
-from sct.extract import Mode
+from sct.extract import Description, Mode, extract_description
+from sct.fixtures import ackermann_program
 from sct.interp import Fuel, OutOfFuel, SafetyReport, State, Transition, Violation
 from sct.parser import ParseError
+from sct.reduction import ChoiceState, active_sets, family_signature, index_sets
 from sct.syntax import (
     And,
     Call,
@@ -422,3 +425,43 @@ def reference_lex(text: str) -> list[tuple[str, str, int, int]]:
         i = j
     tokens.append(("eof", "", line, col))
     return tokens
+
+
+def corrupted_ackermann_description() -> Description:
+    """The guarded description with a bogus strict y-arc added to the first call."""
+    description = extract_description(ackermann_program(), Mode.GUARDED)
+    g = description.sites[0]
+    bad = SizeChangeGraph(g.source, g.target, g.arcs + (Arc(1, ArcKind.STRICT, 1),))
+    return Description((bad,) + description.sites[1:])
+
+
+def reference_graph_for(state: ChoiceState, color: int) -> SizeChangeGraph:
+    """`graph_for` by `Arc` records: with m the largest active-subset size, a
+    strict self-arc on z_I for active I of size m, a non-strict self-arc on
+    inactive z_I of size >= m, and no other arcs."""
+    k = state.k
+    active = active_sets(state, color)
+    m = max(s.size for s in active)
+    sig = family_signature(k)
+    arcs = []
+    for p, s in enumerate(index_sets(k)):
+        if s in active and s.size == m:
+            arcs.append(Arc(p, ArcKind.STRICT, p))
+        elif s not in active and s.size >= m:
+            arcs.append(Arc(p, ArcKind.NONSTRICT, p))
+    return SizeChangeGraph(sig, sig, tuple(arcs))
+
+
+def reference_spp_family(k: int) -> GraphSet:
+    """`spp_reduction_family` by `reference_graph_for` on each choice's least
+    state: S.last on the chosen sets, S.first elsewhere, sorted on (choices, c)."""
+    sets = index_sets(k)
+    graphs = {}
+    for c in range(k):
+        for m in range(1, k - c + 1):
+            candidates = [s for s in sets if s.first == c and s.size == m]
+            for r in range(1, len(candidates) + 1):
+                for chosen in itertools.combinations(candidates, r):
+                    choices = tuple(s.last if s in chosen else s.first for s in sets)
+                    graphs[choices, c] = reference_graph_for(ChoiceState(k, choices), c)
+    return GraphSet.of(graphs[key] for key in sorted(graphs))

@@ -9,7 +9,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from helpers import random_graph_set, random_functional_graph_set
+from helpers import corrupted_ackermann_description, random_graph_set, random_functional_graph_set
 from sct import (
     Arc,
     ArcKind,
@@ -30,11 +30,7 @@ from sct import (
 )
 from sct.colorings import PairColoring, pair_coloring_from_lasso, spp_witness, star_search
 from sct.extract import Mode, extract_description
-from sct.fixtures import (
-    ackermann_graph_set,
-    ackermann_program,
-    corrupted_ackermann_description,
-)
+from sct.fixtures import ackermann_graph_set, ackermann_program
 from sct.interp import OutOfFuel
 from sct.oracle import bounded_lasso_oracle
 from sct.reduction import (

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import sct
+from sct import reduction
 from sct.cli import main
 from sct.fixtures import ACKERMANN_SOURCE
 
@@ -195,6 +196,17 @@ class TestPrinciples:
         )
         assert code == 0
         assert data["descent"]["param"] == "z01"
+
+    @pytest.mark.parametrize("k", ["13", "40"])
+    def test_reversal_beyond_the_color_bound_exits_2(self, capsys, monkeypatch, k):
+        def no_sets(members):
+            raise AssertionError("index sets allocated")
+
+        monkeypatch.setattr(reduction, "IndexSet", no_sets)
+        assert main(["principles", "reversal", "--k", k, "--period", "0,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: index sets are built for 1 <= k <= 12 colors, got k = {k}\n"
 
     def test_star(self, capsys):
         code, data = run_json(

@@ -3,7 +3,13 @@ import sys
 
 import pytest
 
-from helpers import random_functional_graph_set, reference_run, reference_safety, reference_trace
+from helpers import (
+    corrupted_ackermann_description,
+    random_functional_graph_set,
+    reference_run,
+    reference_safety,
+    reference_trace,
+)
 from sct import (
     Arc,
     ArcKind,
@@ -17,7 +23,6 @@ from sct import (
     trace_transitions,
 )
 from sct.extract import Mode, extract_description
-from sct.fixtures import corrupted_ackermann_description
 from sct.interp import Fuel
 
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from helpers import reference_graph_for, reference_spp_family
 from sct import (
     check_sct_criterion,
     closure,
@@ -13,6 +14,7 @@ from sct.graphs import Arc, ArcKind, GraphSet, SizeChangeGraph
 from sct.reduction import (
     ChoiceState,
     IndexSet,
+    active_sets,
     build_reversal_multipath,
     chi_step,
     family_signature,
@@ -52,6 +54,15 @@ class TestIndexSets:
 
     def test_family_signature_names(self):
         assert family_signature(2).params == ("z0", "z1", "z01")
+
+    @pytest.mark.parametrize("k", [0, 13, 40])
+    def test_color_bound(self, k):
+        message = f"^index sets are built for 1 <= k <= 12 colors, got k = {k}$"
+        with pytest.raises(ValueError, match=message):
+            index_sets(k)
+
+    def test_names_distinct_up_to_the_bound(self):
+        assert len(set(family_signature(12).params)) == 2**12 - 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -117,6 +128,20 @@ class TestGraphFor:
         g = graph_for(initial_chi(1), 0)
         assert g.arcs == (Arc(0, ArcKind.STRICT, 0),)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_matches_reference_on_reached_states(self, k):
+        """Every color at every state reached along seeded random colorings."""
+        rng = random.Random(53 + k)
+        for _ in range(20):
+            coloring = random_coloring(rng, k, max_prefix=4, max_period=6)
+            state = initial_chi(k)
+            for x in range(40):
+                for color in range(k):
+                    g = graph_for(state, color)
+                    expected = reference_graph_for(state, color)
+                    assert g == expected and g.arcs == expected.arcs
+                state = chi_step(state, coloring.at(x))
+
 
 class TestFamily:
     def test_single_color_family(self):
@@ -158,10 +183,17 @@ class TestFamily:
         graphs = []
         for choices in itertools.product(*[s.members for s in index_sets(k)]):
             for color in range(k):
-                g = graph_for(ChoiceState(k, choices), color)
+                g = reference_graph_for(ChoiceState(k, choices), color)
                 if g not in graphs:
                     graphs.append(g)
         assert spp_reduction_family(k) == GraphSet.of(graphs)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_matches_reference_family(self, k):
+        """Signatures, graphs, order and names, against the least-state construction."""
+        fam, expected = spp_reduction_family(k), reference_spp_family(k)
+        assert fam == expected
+        assert [g.arcs for g in fam.graphs] == [g.arcs for g in expected.graphs]
 
     @pytest.mark.parametrize("k, count", [(4, 24), (5, 119), (6, 2229)])
     def test_family_size(self, k, count):
@@ -189,13 +221,19 @@ def recurring_and_active(coloring):
     """Two views of "this subset matters forever", per index set, from one run.
 
     First: every color of the subset recurs in the coloring.  Second: the
-    subset is active at some step of the detected cycle.  The two agree.
+    subset is active at some step of the detected cycle, found by replaying
+    the choice machine along the run's prefix and period.  The two agree.
     """
     run = build_reversal_multipath(coloring)
+    cut = len(run.lasso.prefix)
+    state, period_active = initial_chi(coloring.k), set()
+    for x in range(cut + len(run.lasso.period)):
+        if x >= cut:
+            period_active |= active_sets(state, coloring.at(x))
+        state = chi_step(state, coloring.at(x))
     recurring = spp_witness(coloring)
     return {
-        s: (set(s.members) <= recurring, any(s in a for a in run.period_actives))
-        for s in index_sets(coloring.k)
+        s: (set(s.members) <= recurring, s in period_active) for s in index_sets(coloring.k)
     }
 
 
