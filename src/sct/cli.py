@@ -152,8 +152,10 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_graphs_check(args) -> int:
     from . import jsonio
-    from .oracle import bounded_lasso_oracle
+    from .oracle import bounded_lasso_oracle, check_max_len
 
+    if args.oracle is not None:
+        check_max_len(args.oracle)  # also when the set turns out empty
     gs = _read_graphs(args.file)
     out = _verdict_report(gs)
     agrees = True

@@ -215,22 +215,41 @@ def _has_strict_diagonal(rows: Sequence[int], n: int) -> bool:
     return False
 
 
-class _RowMap(dict):
-    """The rows of r;g1 for one right factor g1, keyed by the left row r.
+class _FanOut(dict):
+    """The rows of r;g1 for every right factor g1 leaving one signature, keyed by the left row r.
 
-    A lookup of a row not seen yet computes it with ``_product`` and keeps
-    it, so a map holds only the rows its caller meets, at most 3**m of them.
+    A value is the tuple of product rows, one per right factor in the order
+    given, so the rows of an element's successors are ``zip(*map(fan, left))``:
+    one lookup per left row.  A row not seen yet is computed with ``_product``
+    and kept, so a map holds only the rows its caller meets, at most 3**m.
     """
 
-    __slots__ = ("right", "m", "n")
+    __slots__ = ("rights", "m")
 
-    def __init__(self, right: tuple[int, ...], m: int, n: int) -> None:
+    def __init__(self, m: int, rights: Sequence[tuple[tuple[int, ...], int]]) -> None:
         super().__init__()
-        self.right, self.m, self.n = right, m, n
+        self.m, self.rights = m, rights  # (rows of g1, arity of its target)
 
-    def __missing__(self, row: int) -> int:
-        self[row] = out = _product((row,), self.right, self.m, self.n)[0]
+    def __missing__(self, row: int) -> tuple[int, ...]:
+        m = self.m
+        self[row] = out = tuple(_product((row,), right, m, n)[0] for right, n in self.rights)
         return out
+
+
+def _fan_outs(
+    sigs: Sequence[FunSig], bases: Sequence[tuple[int, int, int, tuple[int, ...]]]
+) -> list[tuple[list[tuple[int, int]], Callable[[int], tuple[int, ...]]]]:
+    """Per signature index: the (base index, target index) pairs of the bases
+    leaving it, in the order of ``bases``, and the lookup of its fan-out map.
+
+    ``bases`` holds (base index, source index, target index, rows).
+    """
+    out = []
+    for k, sig in enumerate(sigs):
+        leaving = [(j, t, rows) for j, s, t, rows in bases if s == k]
+        fan = _FanOut(sig.arity, [(rows, sigs[t].arity) for _, t, rows in leaving])
+        out.append(([(j, t) for j, t, _ in leaving], fan.__getitem__))
+    return out
 
 
 def compose(g0: SizeChangeGraph, g1: SizeChangeGraph) -> SizeChangeGraph:
@@ -253,17 +272,23 @@ def idempotent_power(g: SizeChangeGraph) -> tuple[SizeChangeGraph, int]:
     """Return the unique idempotent among the powers of g, with its exponent.
 
     The cyclic semigroup generated by g has at most 3**(arity**2) elements,
-    so the least idempotent exponent is bounded by that count.
+    so the least idempotent exponent is bounded by that count.  The bound is
+    computed only once the exponent passes arity**2, as at a large arity
+    the power alone costs seconds.
     """
     if g.source != g.target:
         raise CompositionError("only graphs with equal source and target have powers")
-    bound = 3 ** (g.source.arity ** 2)
-    power = g
-    for exponent in range(1, bound + 1):
-        if compose(power, power) == power:
-            return power, exponent
+    limit = g.source.arity ** 2  # replaced by the bound once passed
+    power, exponent = g, 1
+    while compose(power, power) != power:
+        if exponent >= limit:
+            bound = 3 ** (g.source.arity ** 2)
+            if exponent >= bound:
+                raise AssertionError("no idempotent power within the semigroup bound")
+            limit = bound
         power = compose(power, g)
-    raise AssertionError("no idempotent power within the semigroup bound")
+        exponent += 1
+    return power, exponent
 
 
 @record
@@ -340,17 +365,66 @@ class DerivedGraph:
         return tuple(reversed(word))
 
 
-@record
 class Closure:
-    elements: tuple[DerivedGraph, ...]
+    """The composition closure of a graph set, as flat lists in breadth-first order.
+
+    Element k is ``keys[k]``, its (source index, target index, rows) with
+    indices into ``gs.sigs``; it extends element ``parents[k]`` (-1 for a
+    base graph) by the base graph ``lasts[k]``.  Graph objects are built only
+    for elements a caller reads: ``elements`` builds them all on first read,
+    and the criterion builds its failing idempotent with its parent chain.
+    Either reuses the elements the other built, so each element is one object.
+    """
+
+    __slots__ = ("gs", "keys", "parents", "lasts", "_built", "_elements")
+
+    def __init__(
+        self,
+        gs: GraphSet,
+        keys: list[tuple[int, int, tuple[int, ...]]],
+        parents: list[int],
+        lasts: list[int],
+    ) -> None:
+        self.gs, self.keys, self.parents, self.lasts = gs, keys, parents, lasts
+        self._built: dict[int, DerivedGraph] = {}
+        self._elements: Optional[tuple[DerivedGraph, ...]] = None
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.keys)
 
     @property
     def witness_bound(self) -> int:
         # breadth-first order: witness lengths never decrease along elements
-        return len(self.elements[-1].witness)
+        length, k = 0, len(self.keys) - 1
+        while k >= 0:
+            length += 1
+            k = self.parents[k]
+        return length
+
+    @property
+    def elements(self) -> tuple[DerivedGraph, ...]:
+        if self._elements is None:
+            self._elements = tuple(map(self._element, range(len(self.keys))))
+        return self._elements
+
+    def _element(self, k: int) -> DerivedGraph:
+        """Element k, built with the part of its parent chain not built yet."""
+        built, parents = self._built, self.parents
+        chain = []
+        while k >= 0 and k not in built:
+            chain.append(k)
+            k = parents[k]
+        dg = built[k] if k >= 0 else None
+        sigs = self.gs.sigs
+        for k in reversed(chain):
+            last = self.lasts[k]
+            if dg is None:  # a base graph
+                graph = self.gs.graphs[last]
+            else:
+                src, tgt, rows = self.keys[k]
+                graph = SizeChangeGraph._of_rows(sigs[src], sigs[tgt], rows)
+            dg = built[k] = DerivedGraph(graph, dg, last)
+        return dg
 
 
 def closure(gs: GraphSet) -> Closure:
@@ -359,39 +433,40 @@ def closure(gs: GraphSet) -> Closure:
     Breadth-first extension by base graphs visits candidate words in shortlex
     order, so each element carries the shortlex-least witness among the
     derivations the fixpoint discovers, and the result is deterministic.
-    Candidates are told apart by (source index, target index, rows), so a
-    graph object is built only for a new element.  Every right factor is a
-    base graph, so each element is extended through one row map per base
-    graph: a lookup per row.
+    Candidates are told apart by (source index, target index, rows), and an
+    element is kept as that key, its parent's index and its last base graph;
+    no graph object is built.  Every right factor is a base graph, so an
+    element reaches all its successors through the fan-out map of its target
+    signature: one lookup per row.
     """
     if not gs.graphs:
         raise ValueError("cannot close an empty graph set")
     index = {sig: k for k, sig in enumerate(gs.sigs)}
-    arity = [sig.arity for sig in gs.sigs]
-    # base graphs by source index: (base index, target index, target, row lookup)
-    by_source: list[list[tuple[int, int, FunSig, Callable[[int], int]]]] = [[] for _ in gs.sigs]
+    bases = [(j, index[g.source], index[g.target], g.rows) for j, g in enumerate(gs.graphs)]
+    fans = _fan_outs(gs.sigs, bases)
     seen: set[tuple[int, int, tuple[int, ...]]] = set()
-    # (source index, target index, element), in breadth-first order; it
-    # doubles as the queue: it is walked while it grows
-    order: list[tuple[int, int, DerivedGraph]] = []
-    for j, g in enumerate(gs.graphs):
-        src, tgt = index[g.source], index[g.target]
-        lookup = _RowMap(g.rows, arity[src], arity[tgt]).__getitem__
-        by_source[src].append((j, tgt, g.target, lookup))
-        if (src, tgt, g.rows) not in seen:
-            seen.add((src, tgt, g.rows))
-            order.append((src, tgt, DerivedGraph(g, None, j)))
-    for src, mid, dg in order:
-        g = dg.graph
-        left = g.rows
-        for j, tgt, target, lookup in by_source[mid]:
-            rows = tuple(map(lookup, left))
+    keys: list[tuple[int, int, tuple[int, ...]]] = []
+    parents: list[int] = []
+    lasts: list[int] = []
+    for j, src, tgt, rows in bases:
+        key = (src, tgt, rows)
+        if key not in seen:
+            seen.add(key)
+            keys.append(key)
+            parents.append(-1)
+            lasts.append(j)
+    add, push_key, push_parent, push_last = seen.add, keys.append, parents.append, lasts.append
+    # keys doubles as the queue: it is walked while it grows
+    for i, (src, mid, left) in enumerate(keys):
+        succ, fan = fans[mid]
+        for (j, tgt), rows in zip(succ, zip(*map(fan, left))):
             key = (src, tgt, rows)
             if key not in seen:
-                seen.add(key)
-                comp = SizeChangeGraph._of_rows(g.source, target, rows)
-                order.append((src, tgt, DerivedGraph(comp, dg, j)))
-    return Closure(tuple(dg for _, _, dg in order))
+                add(key)
+                push_key(key)
+                push_parent(i)
+                push_last(j)
+    return Closure(gs, keys, parents, lasts)
 
 
 @record
@@ -476,13 +551,13 @@ def check_sct_criterion(gs: GraphSet, cl: Optional[Closure] = None) -> Verdict:
         return Verdict(True)
     if cl is None:
         cl = closure(gs)
-    for dg in cl.elements:
-        g = dg.graph
-        source, target = g.source, g.target
-        if not (source is target or source == target):
+    arity = [sig.arity for sig in cl.gs.sigs]
+    for k, (src, tgt, rows) in enumerate(cl.keys):
+        if src != tgt:
             continue
-        rows, n = g.rows, target.arity
+        n = arity[src]
         if not _has_strict_diagonal(rows, n) and _product(rows, rows, n, n) == rows:
+            dg = cl._element(k)
             lasso = LassoMultipath((), dg.witness)
             # a failing idempotent must also be descent-free as a lasso
             if decide_periodic_descent(lasso, gs) is not None:

@@ -13,7 +13,7 @@ from .graphs import (
     GraphSet,
     LassoMultipath,
     SizeChangeGraph,
-    _RowMap,
+    _fan_outs,
     idempotent_power,
 )
 from .record import record
@@ -30,6 +30,12 @@ class OracleReport:
         return self.counterexample is not None
 
 
+def check_max_len(max_len: int) -> None:
+    """The oracle's one check on its length bound, for callers that check before reading a set."""
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
+
+
 def bounded_lasso_oracle(gs: GraphSet, max_len: int) -> OracleReport:
     """Search composable cyclic words, in shortlex order, for a descent-free repetition.
 
@@ -37,37 +43,35 @@ def bounded_lasso_oracle(gs: GraphSet, max_len: int) -> OracleReport:
     self-arc yields an infinite multipath without infinite descent.  Each
     length is walked depth-first on an explicit stack of (depth, graph
     index, source index, target index, rows), so the bound is not limited by
-    the recursion limit; a word's rows extend its prefix's through one row
-    map per base graph, and the current word is one list indexed by depth.
+    the recursion limit; a word's rows extend its prefix's through the
+    fan-out map of its target signature, the closure's row map, and the
+    current word is one list indexed by depth.
     The verdict on a cyclic value is kept per (signature index, rows).  The
     walk stops at the first length no composable word reaches, as no longer
     word is composable either.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
+    check_max_len(max_len)
     sigs = gs.sigs
-    # (graph index, source index, target index, rows, row lookup)
-    bases = []
-    for j, g in enumerate(gs.graphs):
-        s, t = sigs.index(g.source), sigs.index(g.target)
-        bases.append((j, s, t, g.rows, _RowMap(g.rows, sigs[s].arity, sigs[t].arity).__getitem__))
-    # children are pushed in reverse index order, so they pop smallest first
+    # (graph index, source index, target index, rows), in reverse index order:
+    # children are pushed in that order, so they pop smallest first
+    bases = [(j, sigs.index(g.source), sigs.index(g.target), g.rows) for j, g in enumerate(gs.graphs)]
     bases.reverse()
-    after = [[(j, t, lookup) for j, s, t, _, lookup in bases if s == k] for k in range(len(sigs))]
+    after = _fan_outs(sigs, bases)
     descends: dict[tuple[int, tuple[int, ...]], bool] = {}
     checked = 0
     for length in range(1, max_len + 1):
         last = length - 1
         word = [0] * length
-        stack = [(0, j, s, t, rows) for j, s, t, rows, _ in bases]
+        stack = [(0, j, s, t, rows) for j, s, t, rows in bases]
         reached = False
         while stack:
             depth, j, src, tgt, rows = stack.pop()
             word[depth] = j
             if depth < last:
                 depth += 1
-                for k, t, lookup in after[tgt]:
-                    stack.append((depth, k, src, t, tuple(map(lookup, rows))))
+                succ, fan = after[tgt]
+                for (k, t), child in zip(succ, zip(*map(fan, rows))):
+                    stack.append((depth, k, src, t, child))
                 continue
             reached = True
             if src == tgt:

@@ -109,6 +109,30 @@ def random_wide_graph_set(rng: random.Random, max_funs: int = 2, max_graphs: int
     return GraphSet.of(graphs, sigs=sigs)
 
 
+def random_permutation_set(
+    rng: random.Random, arity: int = 5, partial: float = 0.2, strict_fixpoint: bool = False
+) -> GraphSet:
+    """Three partial permutations of one function's parameters, about 1 arc in 4 strict.
+
+    Each parameter keeps its arc with probability ``1 - partial``.  With
+    ``strict_fixpoint`` parameter 0 maps to itself strictly in every graph,
+    so every closure element descends and the set terminates.  Closures of
+    such sets run to thousands of elements on one signature.
+    """
+    sig = FunSig("f", tuple(f"p{j}" for j in range(arity)))
+    low = 1 if strict_fixpoint else 0
+    graphs = []
+    for _ in range(3):
+        image = rng.sample(range(low, arity), arity - low)
+        arcs = [Arc(0, ArcKind.STRICT, 0)] if strict_fixpoint else []
+        for s, t in zip(range(low, arity), image):
+            if rng.random() >= partial:
+                kind = ArcKind.STRICT if rng.random() < 0.25 else ArcKind.NONSTRICT
+                arcs.append(Arc(s, kind, t))
+        graphs.append(SizeChangeGraph(sig, sig, tuple(arcs)))
+    return GraphSet.of(graphs)
+
+
 def random_cyclic_word(rng: random.Random, gs: GraphSet, max_len: int = 4):
     """A composable cyclic word over gs, or None if the random walk finds none."""
     for _ in range(50):

@@ -149,6 +149,20 @@ class TestGraphsCheck:
         assert report["oracle"]["agrees"] is True
         assert report["oracle"]["counterexample"]["period"] == ["S"]
 
+    @pytest.mark.parametrize("bound", ["0", "-1"])
+    @pytest.mark.parametrize("graphs", ["empty", "swap"])
+    def test_oracle_bound_below_one_exits_2(self, capsys, tmp_path, fixture_dir, graphs, bound):
+        # checked before the set is read, so an empty set is no exception
+        path = fixture_dir / "swap-graphs.json"
+        if graphs == "empty":
+            path = tmp_path / "empty.json"
+            path.write_text('{"functions": [], "graphs": []}')
+        capsys.readouterr()
+        assert main(["graphs", "check", str(path), "--oracle", bound]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: max_len must be at least 1\n"
+
     def test_schema_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(

@@ -12,6 +12,7 @@ from helpers import (
     random_cyclic_word,
     random_graph,
     random_graph_set,
+    random_permutation_set,
     random_sigs,
     random_wide_graph_set,
     reference_closure,
@@ -349,15 +350,21 @@ class TestCriterion:
                 assert decide_periodic_descent(verdict.lasso, gs) is None
 
     @staticmethod
-    def assert_verdict_matches_reference(gs) -> bool:
-        """Against a plain scan of the reference closure, on arcs; True if gs fails."""
-        plain = [
-            (g, w)
-            for g, w in reference_closure(gs)
+    def reference_failing(order) -> list[int]:
+        """Indices into a reference closure of its idempotents without a strict self-arc."""
+        return [
+            k
+            for k, (g, _) in enumerate(order)
             if g.source == g.target
             and reference_compose(g, g).arcs == g.arcs
             and not any(a.src == a.tgt and a.kind is ArcKind.STRICT for a in g.arcs)
         ]
+
+    @classmethod
+    def assert_verdict_matches_reference(cls, gs) -> bool:
+        """Against a plain scan of the reference closure, on arcs; True if gs fails."""
+        order = reference_closure(gs)
+        plain = [order[k] for k in cls.reference_failing(order)]
         verdict = check_sct_criterion(gs)
         assert verdict.sct == (not plain)
         if plain:
@@ -386,6 +393,39 @@ class TestCriterion:
             TestKernel.assert_closure_matches_reference(gs)
             failures += self.assert_verdict_matches_reference(gs)
         assert 10 < failures < 90
+
+    def test_permutation_sets_match_reference(self):
+        """Closure and verdict on three partial permutations of one arity-5 function."""
+        rng = random.Random(21)
+        failures = 0
+        for strict_fixpoint in (False, True):
+            for _ in range(4):
+                gs = random_permutation_set(rng, strict_fixpoint=strict_fixpoint)
+                TestKernel.assert_closure_matches_reference(gs)
+                failures += self.assert_verdict_matches_reference(gs)
+        assert failures == 4
+
+    def test_failing_element_is_found_in_elements(self):
+        """``cl.elements`` holds the verdict's own object at the reference index,
+        whether it is read before or after the criterion."""
+        rng = random.Random(17)
+        sets = [random_graph_set(rng, max_funs=3, max_arity=3, max_graphs=3) for _ in range(100)]
+        sets += [random_permutation_set(rng) for _ in range(4)]
+        failures = 0
+        for gs in sets:
+            failing = self.reference_failing(reference_closure(gs))
+            if not failing:
+                continue
+            failures += 1
+            for read_first in (True, False):
+                cl = closure(gs)
+                if read_first:
+                    elements = cl.elements
+                verdict = check_sct_criterion(gs, cl)
+                assert cl.elements.index(verdict.failing_idempotent) == failing[0]
+                if read_first:
+                    assert cl.elements is elements
+        assert failures > 20
 
     def test_failing_idempotent_recheck_raises(self, swap_graphs, monkeypatch):
         # an explicit check, so it survives python -O, unlike a bare assert

@@ -142,7 +142,6 @@ SAMPLES = {
     FunSig: ("f", ("x", "y")),
     Arc: (1, ArcKind.NONSTRICT, 0),
     GraphSet: ((SIG,), (GRAPH,), ("g0",)),
-    graphs.Closure: ((),),
     LassoMultipath: ((), (0, 0)),
     graphs.DescentWitness: ((0,), 1, 2),
     graphs.Verdict: (False, None, LASSO),
