@@ -237,6 +237,8 @@ def _cmd_star(args) -> int:
             )
         except (OSError, KeyError, IndexError, TypeError, ValueError) as exc:
             raise _InputError(f"bad pair-coloring file: {exc}") from None
+        except RecursionError:  # the decoder recurses once per nested array or object
+            raise _InputError("bad pair-coloring file: invalid JSON: nested too deeply") from None
     witness = star_search(coloring, args.min_triangles)
     if witness is None:
         _emit({"found": False, "min_triangles": args.min_triangles})

@@ -54,11 +54,13 @@ class PairColoring:
 
     @classmethod
     def from_function(cls, k: int, n: int, fn: Callable[[int, int], int]) -> "PairColoring":
+        if type(k) is not int or type(n) is not int:
+            raise ValueError(f"k and n must be integers, got k = {k!r}, n = {n!r}")
         if k < 1:
             raise ValueError(f"need at least one color, got k = {k}")
         values = {(i, j): fn(i, j) for i in range(n) for j in range(i + 1, n)}
-        if any(not 0 <= v < k for v in values.values()):
-            raise ValueError(f"colors must be below {k}")
+        if any(type(v) is not int or not 0 <= v < k for v in values.values()):
+            raise ValueError(f"colors must be integers below {k}")
         return cls(k, n, values)
 
     def at(self, i: int, j: int) -> int:

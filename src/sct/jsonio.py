@@ -12,6 +12,7 @@ Schema violations are reported with JSON-pointer paths.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -160,4 +161,55 @@ def oracle_report_to_json(report: OracleReport, gs: GraphSet) -> dict:
 
 
 def dumps(data: dict) -> str:
-    return json.dumps(data, indent=2) + "\n"
+    """``json.dumps(data, indent=2) + "\\n"``, byte for byte, without the pure-Python encoder.
+
+    CPython encodes with ``indent`` in Python, one generator per container;
+    this writer lays out dicts, lists and tuples itself and encodes strings
+    with the C helper ``json.dumps`` uses under ``ensure_ascii``.  Any other
+    leaf goes to ``json.dumps``, so its text (or its ``TypeError``) is the
+    same; a key that is not a ``str`` is a ``TypeError``.
+    """
+    parts: list[str] = []
+    _write(data, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write(value, newline: str, put) -> None:
+    """Put the indent-2 text of value, whose line breaks are followed by newline's indent."""
+    if isinstance(value, str):
+        put(_encode_str(value))
+    elif value is None:
+        put("null")
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    elif isinstance(value, int):
+        put(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            put(sep)
+            sep = "," + inner
+            _write(item, inner, put)
+        put(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            put(sep + _encode_str(key) + ": ")
+            sep = "," + inner
+            _write(item, inner, put)
+        put(newline + "}")
+    else:
+        put(json.dumps(value))

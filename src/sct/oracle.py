@@ -1,21 +1,16 @@
 """Independent bounded brute-force check of the termination criterion.
 
-Walks every composable cyclic word up to a length bound and tests the
-idempotent power of its composition for a strict self-arc.  Used to
-cross-validate the closure-based criterion.
+Walks every composable cyclic word up to a length bound and tests its
+composition for a cycle through a strict arc, which holds exactly when the
+composition's idempotent power has a strict self-arc.  Used to cross-validate
+the closure-based criterion, which tests idempotents.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .graphs import (
-    GraphSet,
-    LassoMultipath,
-    SizeChangeGraph,
-    _fan_outs,
-    idempotent_power,
-)
+from .graphs import GraphSet, LassoMultipath, _fan_outs, _has_strict_diagonal
 from .record import record
 
 
@@ -36,19 +31,49 @@ def check_max_len(max_len: int) -> None:
         raise ValueError("max_len must be at least 1")
 
 
+def _strict_cycle(rows: tuple[int, ...], n: int) -> bool:
+    """Whether the parameter graph of the rows (n parameters) has a cycle through a strict arc.
+
+    This holds exactly when the idempotent power H = G^e of the graph G has a
+    strict self-arc.  A strict i->i arc of H is a closed walk of G with a
+    strict step.  Conversely, a closed walk of length L through a strict step
+    from i gives a strict i->i arc in G^(eL) = H^L = H.  A closed walk through
+    a strict arc u->v exists when v = u or v reaches u, so the test reads the
+    diagonal, then computes reachability on the reach bits (Warshall) and
+    looks once per strict arc.
+    """
+    if _has_strict_diagonal(rows, n):  # a strict self-arc: a cycle of one step
+        return True
+    mask = (1 << n) - 1
+    reach = [r & mask for r in rows]
+    for k, via in enumerate(reach):  # via is row k as the earlier steps left it
+        bit = 1 << k
+        for i, r in enumerate(reach):
+            if r & bit:
+                reach[i] = r | via
+    for u, r in enumerate(rows):
+        strict = r >> n
+        while strict:
+            low = strict & -strict
+            if reach[low.bit_length() - 1] >> u & 1:
+                return True
+            strict ^= low
+    return False
+
+
 def bounded_lasso_oracle(gs: GraphSet, max_len: int) -> OracleReport:
     """Search composable cyclic words, in shortlex order, for a descent-free repetition.
 
-    A word whose composition has an idempotent power without a strict
-    self-arc yields an infinite multipath without infinite descent.  Each
-    length is walked depth-first on an explicit stack of (depth, graph
-    index, source index, target index, rows), so the bound is not limited by
-    the recursion limit; a word's rows extend its prefix's through the
-    fan-out map of its target signature, the closure's row map, and the
-    current word is one list indexed by depth.
-    The verdict on a cyclic value is kept per (signature index, rows).  The
-    walk stops at the first length no composable word reaches, as no longer
-    word is composable either.
+    A word whose composition has no cycle through a strict arc (so its
+    idempotent power has no strict self-arc, see ``_strict_cycle``) yields an
+    infinite multipath without infinite descent.  Each length is walked
+    depth-first on an explicit stack of (depth, graph index, source index,
+    target index, rows), so the bound is not limited by the recursion limit;
+    a word's rows extend its prefix's through the fan-out map of its target
+    signature, the closure's row map, and the current word is one list
+    indexed by depth.  The verdict on a cyclic value is kept per (signature
+    index, rows).  The walk stops at the first length no composable word
+    reaches, as no longer word is composable either.
     """
     check_max_len(max_len)
     sigs = gs.sigs
@@ -78,8 +103,7 @@ def bounded_lasso_oracle(gs: GraphSet, max_len: int) -> OracleReport:
                 checked += 1
                 verdict = descends.get((src, rows))
                 if verdict is None:
-                    value = SizeChangeGraph._of_rows(sigs[src], sigs[src], rows)
-                    verdict = descends[src, rows] = idempotent_power(value)[0].has_strict_self_arc()
+                    verdict = descends[src, rows] = _strict_cycle(rows, sigs[src].arity)
                 if not verdict:
                     return OracleReport(LassoMultipath((), tuple(word)), max_len, checked)
         if not reached:

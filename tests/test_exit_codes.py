@@ -214,3 +214,27 @@ def test_graph_set_commands(workdir, data, command):
     path = workdir / "graphs.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     assert_contract([*command, str(path)])
+
+
+# --- pair-colouring files -----------------------------------------------------
+
+BAD_PAIR_COLORINGS = {
+    # a float k once reached star_search and exited 3 with a TypeError
+    "float-k": '{"k": 2.0, "n": 4, "rows": [[0, 0, 1], [0, 1], [1]]}',
+    # a float colour once passed the range check, and the search exited 0
+    "float-color": '{"k": 2, "n": 4, "rows": [[0, 0, 1.5], [0, 1.5], [1.5]]}',
+    # the decoder recurses once per nested array and once exited 3
+    "nested": "[" * 100_000 + "]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_PAIR_COLORINGS))
+def test_bad_pair_coloring_file_exits_2(workdir, name):
+    path = workdir / f"{name}.json"
+    path.write_text(BAD_PAIR_COLORINGS[name], encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["principles", "star", "--n", "4", "--pattern", "file", "--file", str(path)])
+    assert (code, out.getvalue()) == (2, "")
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: bad pair-coloring file: ")

@@ -1,16 +1,21 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_graph_set
 from sct import check_sct_criterion
 from sct.jsonio import (
     SchemaError,
+    dumps,
     graph_set_to_json,
     load_graph_set,
     load_graph_set_file,
     verdict_to_json,
 )
+from sct.reduction import spp_reduction_family
 
 
 class TestRoundTrip:
@@ -131,3 +136,50 @@ class TestVerdictJson:
             {"from": "x", "kind": "nonstrict", "to": "x"},
             {"from": "y", "kind": "nonstrict", "to": "y"},
         ]
+
+
+def reference_dumps(data):
+    return json.dumps(data, indent=2) + "\n"
+
+
+# non-ASCII, quotes, backslashes and control characters among plain letters
+text = st.text(max_size=6) | st.text(
+    st.sampled_from("ab\"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600"), max_size=6
+)
+leaves = st.none() | st.booleans() | st.integers() | st.integers(-(2**70), 2**70) | text
+documents = st.recursive(
+    leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(text, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestDumps:
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(documents)
+    def test_matches_json_dumps(self, data):
+        assert dumps(data) == reference_dumps(data)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_family_graph_set(self, k):
+        data = graph_set_to_json(spp_reduction_family(k))
+        assert dumps(data) == reference_dumps(data)
+
+    def test_float_leaf(self):
+        data = {"x": [1.5, -0.0, 1e300, float("inf"), float("nan")]}
+        assert dumps(data) == reference_dumps(data)
+
+    def test_json_dumps_sees_only_leaves(self, monkeypatch):
+        data = {"a": [1.5, {"b": ("c", 2)}], "d": None}
+        expected, seen, real = reference_dumps(data), [], json.dumps
+        monkeypatch.setattr(json, "dumps", lambda value: seen.append(value) or real(value))
+        assert dumps(data) == expected
+        assert seen == [1.5]
+
+    def test_other_leaf_and_key_raise_type_error(self):
+        with pytest.raises(TypeError):
+            dumps({"x": {1, 2}})
+        with pytest.raises(TypeError):
+            dumps({1: "x"})

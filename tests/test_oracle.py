@@ -20,7 +20,7 @@ from sct import (
     decide_periodic_descent,
     idempotent_power,
 )
-from sct.oracle import OracleReport, bounded_lasso_oracle
+from sct.oracle import OracleReport, _strict_cycle, bounded_lasso_oracle
 from sct.reduction import spp_reduction_family
 
 
@@ -43,6 +43,50 @@ def two_cycle(strict):
     f, g = FunSig("f", ("x",)), FunSig("g", ("y",))
     arcs = (Arc(0, ArcKind.STRICT, 0),) if strict else ()
     return GraphSet.of((SizeChangeGraph(f, g, arcs), SizeChangeGraph(g, f, arcs)))
+
+
+def square_graph(sig, cells):
+    """The graph on sig with one cell per (source, target) pair: 0 none, 1 non-strict, 2 strict."""
+    kinds = (None, ArcKind.NONSTRICT, ArcKind.STRICT)
+    n = sig.arity
+    arcs = [Arc(i // n, kinds[c], i % n) for i, c in enumerate(cells) if c]
+    return SizeChangeGraph(sig, sig, arcs)
+
+
+def idempotent_descends(g):
+    return idempotent_power(g)[0].has_strict_self_arc()
+
+
+class TestStrictCycle:
+    """The oracle's verdict on a cyclic value against the idempotent power it stands for."""
+
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_every_square_graph(self, arity):
+        sig = FunSig("f", tuple(f"p{i}" for i in range(arity)))
+        count = 0
+        for cells in itertools.product(range(3), repeat=arity * arity):
+            g = square_graph(sig, cells)
+            assert _strict_cycle(g.rows, arity) == idempotent_descends(g), g
+            count += 1
+        assert count == 3 ** (arity * arity)
+
+    @pytest.mark.parametrize("arity", [4, 5, 6, 7])
+    def test_seeded_graphs(self, arity):
+        rng = random.Random(47 + arity)
+        sig = FunSig("f", tuple(f"p{i}" for i in range(arity)))
+        descending = 0
+        for _ in range(1000):
+            # sparse to dense, so that both verdicts are common
+            density, strict = rng.uniform(0.05, 0.45), rng.random()
+            cells = [
+                (2 if rng.random() < strict else 1) if rng.random() < density else 0
+                for _ in range(arity * arity)
+            ]
+            g = square_graph(sig, cells)
+            verdict = _strict_cycle(g.rows, arity)
+            assert verdict == idempotent_descends(g), g
+            descending += verdict
+        assert 200 < descending < 800
 
 
 class TestEnumeration:
@@ -98,13 +142,14 @@ class TestEnumeration:
                 assert bounded_lasso_oracle(gs, max_len) == reference_oracle(gs, max_len)
 
     def test_wide_sets_match_reference(self):
-        """Rows past 64 bits: the row maps and the verdict memo against the reference."""
+        """Rows past 64 bits: the row maps, the cycle test and the verdict memo against the reference."""
         rng = random.Random(46)
         refuted = 0
         for _ in range(100):
             gs = random_wide_graph_set(rng)
-            report = bounded_lasso_oracle(gs, 3)
-            assert report == reference_oracle(gs, 3)
+            for max_len in range(1, 5):
+                report = bounded_lasso_oracle(gs, max_len)
+                assert report == reference_oracle(gs, max_len)
             refuted += report.refuted
         assert 10 < refuted < 90
 

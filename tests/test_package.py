@@ -58,6 +58,11 @@ def test_only_graphs_builds_arcs():
     assert callers == {"graphs.py"}  # the walk finds real calls
 
 
+def test_oracle_takes_no_idempotent_power():
+    """The oracle tests cycles on rows, so it stays independent of the criterion's idempotents."""
+    assert not {"SizeChangeGraph", "compose", "idempotent_power"} & set(vars(oracle))
+
+
 # --- start-up: what a process imports ------------------------------------------
 
 def run_python(code, *args, cwd=None):
