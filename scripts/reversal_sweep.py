@@ -12,7 +12,7 @@ from collections import Counter
 
 from sct import decide_periodic_descent
 from sct.colorings import EPColoring, spp_witness
-from sct.reduction import IndexSet, build_reversal_multipath, index_sets
+from sct.reduction import build_reversal_multipath, family_signature, index_sets
 
 
 def colorings(k, max_prefix, max_period):
@@ -30,7 +30,7 @@ def main():
     ap.add_argument("--max-period", type=int, default=4)
     args = ap.parse_args()
 
-    sets = index_sets(args.k)
+    sets, names = index_sets(args.k), family_signature(args.k).params
     by_param = Counter()
     cycle_lengths = Counter()
     extras = 0
@@ -40,11 +40,11 @@ def main():
         run = build_reversal_multipath(c)
         witness = decide_periodic_descent(run.lasso, run.graphs)
         assert witness is not None
-        target = sets.index(IndexSet.of(spp_witness(c)))
+        target = sets.index(tuple(sorted(spp_witness(c))))
         params = witness.params
         assert target in params, (c, params)
         extras += len(params) - 1
-        by_param[sets[target].param_name()] += 1
+        by_param[names[target]] += 1
         cycle_lengths[len(run.lasso.period)] += 1
 
     print(f"{total} colorings, descent always at the recurring-color parameter")

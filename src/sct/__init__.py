@@ -29,9 +29,8 @@ _EXPORTS = {
     "oracle": ("OracleReport", "bounded_lasso_oracle"),
     "parser": ("Diagnostic", "ParseError", "SourceError", "ValidationError", "parse_program"),
     "reduction": (
-        "ChoiceState", "IndexSet", "ReversalRun", "build_reversal_multipath", "chi_step",
-        "family_signature", "graph_for", "index_sets", "initial_chi", "spp_reduction_family",
-        "warmup_family",
+        "ReversalRun", "build_reversal_multipath", "family_signature", "index_sets",
+        "spp_reduction_family", "warmup_family",
     ),
     "synth": ("SynthesisError", "graph_multiset", "synthesize"),
     "syntax": ("Program", "format_program"),

@@ -188,14 +188,13 @@ def _cmd_spp_family(args) -> int:
 def _cmd_reversal(args) -> int:
     from .colorings import EPColoring, spp_witness
     from .graphs import decide_periodic_descent
-    from .reduction import build_reversal_multipath, index_sets
+    from .reduction import build_reversal_multipath, family_signature
 
     coloring = EPColoring(
         args.k, _parse_colors(args.prefix, "--prefix"), _parse_colors(args.period, "--period")
     )
     run = build_reversal_multipath(coloring)
     witness = decide_periodic_descent(run.lasso, run.graphs)
-    sets = index_sets(args.k)
     _emit(
         {
             "k": args.k,
@@ -208,7 +207,7 @@ def _cmd_reversal(args) -> int:
                 "distinct_graphs": len(run.graphs),
             },
             "descent": {
-                "param": sets[witness.params[0]].param_name(),
+                "param": family_signature(args.k).params[witness.params[0]],
                 "start": witness.start,
                 "block_len": witness.block_len,
             },
@@ -220,10 +219,12 @@ def _cmd_reversal(args) -> int:
 def _cmd_star(args) -> int:
     from .colorings import PairColoring, star_search
 
-    if args.pattern == "parity":
-        coloring = PairColoring.from_function(args.k, args.n, lambda i, j: (j - i) % args.k)
-    elif args.pattern == "constant":
-        coloring = PairColoring.from_function(args.k, args.n, lambda i, j: 0)
+    if args.pattern != "file":
+        if args.n is None:
+            raise _InputError(f"--pattern {args.pattern} needs --n")
+        k = 2 if args.k is None else args.k
+        fn = (lambda i, j: (j - i) % k) if args.pattern == "parity" else (lambda i, j: 0)
+        coloring = PairColoring.from_function(k, args.n, fn)
     else:
         if args.file is None:
             raise _InputError("--pattern file needs --file")
@@ -239,6 +240,9 @@ def _cmd_star(args) -> int:
             raise _InputError(f"bad pair-coloring file: {exc}") from None
         except RecursionError:  # the decoder recurses once per nested array or object
             raise _InputError("bad pair-coloring file: invalid JSON: nested too deeply") from None
+        for flag, given, found in (("--n", args.n, coloring.n), ("--k", args.k, coloring.k)):
+            if given is not None and given != found:
+                raise _InputError(f"{flag} {given} does not match the file's {flag[2:]} = {found}")
     witness = star_search(coloring, args.min_triangles)
     if witness is None:
         _emit({"found": False, "min_triangles": args.min_triangles})
@@ -324,8 +328,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     r.add_argument("--prefix", default="", help="comma-separated colors")
     r.set_defaults(fn=_cmd_reversal)
     s = psub.add_parser("star", help="search for an anchored monochromatic triangle pattern")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--k", type=int, default=2)
+    s.add_argument("--n", type=int, help="points; with --pattern file, the file's n if given")
+    s.add_argument("--k", type=int, help="colors (default 2); with --pattern file, the file's k if given")
     s.add_argument("--pattern", choices=["parity", "constant", "file"], default="parity")
     s.add_argument("--file")
     s.add_argument("--min-triangles", type=int, default=1)

@@ -98,6 +98,11 @@ _TOKEN = re.compile(
 )
 
 
+def _starts_name(word: str) -> bool:
+    """Whether an "other" word is an identifier."""
+    return word[0].isalpha() or word[0] == "_"
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -128,7 +133,7 @@ class _Parser:
             if kind == "sym":
                 append((word, word, m.start()))
             elif kind == "other":
-                if not (word[0].isalpha() or word[0] == "_"):
+                if not _starts_name(word):
                     raise self.error(f"unexpected character {word[0]!r}", m.start())
                 append(("ident", word, m.start()))
             elif kind == "comment":
@@ -323,6 +328,14 @@ class _Parser:
     def check_param(self, name: str, tok: _Lexeme) -> None:
         if name not in self.params:
             self.report(f"unknown parameter {name!r}", tok)
+
+
+def is_function_name(name: str) -> bool:
+    """Whether name reads back as the name of a callable function: the whole
+    text lexes as one identifier (so no keyword) that is not a primitive."""
+    m = _TOKEN.fullmatch(name)
+    kind = m.lastgroup if m else None
+    return (kind == "ident" or kind == "other" and _starts_name(name)) and name not in PRIM_OPS
 
 
 def parse_program(text: str) -> Program:

@@ -5,7 +5,9 @@ function with k outgoing graphs dispatches on x0 = 0, x0 = 1, ..., x0 = k-2
 with the final branch as the last else; branch h calls the target of its
 graph with x_s-1 for a strict arc into position j, x_s for a non-strict arc,
 and x_j+1 where no arc enters j.  Guard-blind extraction inverts this
-construction exactly.
+construction exactly.  A function name must read back as a callable one
+(`parser.is_function_name`): a keyword, a primitive or a name that is not
+one identifier is a SynthesisError.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable
 
-from .graphs import ArcKind, FunSig, GraphSet, SizeChangeGraph
+from .graphs import FunSig, GraphSet, SizeChangeGraph
+from .parser import is_function_name
 from .syntax import (
     Call,
     CondExpr,
@@ -29,25 +32,28 @@ from .syntax import (
 
 
 class SynthesisError(ValueError):
-    """The graph set cannot be compiled (two sources feed one target parameter)."""
+    """The graph set cannot be compiled: two sources feed one target
+    parameter, or a function's name does not read back as a callable one."""
 
 
-def _branch_call(graph: SizeChangeGraph, params: tuple[str, ...], arity: int, label: int) -> Expr:
-    incoming: dict[int, tuple[int, ArcKind]] = {}
-    for a in graph.arcs:
-        if a.tgt in incoming:
-            raise SynthesisError(
-                f"two arcs into parameter {a.tgt} of {graph.target.name}"
-            )
-        incoming[a.tgt] = (a.src, a.kind)
-    args: list[Expr] = []
-    for j in range(arity):
-        entry = incoming.get(j)
-        if entry is None:
-            args.append(Succ(params[j]))
-        else:
-            src, kind = entry
-            args.append(Pred(params[src]) if kind is ArcKind.STRICT else Var(params[src]))
+def _branch_call(graph: SizeChangeGraph, nodes, label: int) -> Expr:
+    """The call of one branch, read off the graph's rows; nodes holds the
+    x_j+1, x_j and x_j-1 argument nodes by position j."""
+    succ, var, pred = nodes
+    n = graph.target.arity
+    args = list(succ)  # x_j+1 where no arc enters j
+    fed = 0  # bit t: an earlier row has an arc into target parameter t
+    for s, row in enumerate(graph.rows):
+        reach = row & ((1 << n) - 1)
+        clash = reach & fed
+        if clash:
+            t = (clash & -clash).bit_length() - 1
+            raise SynthesisError(f"two arcs into parameter {t} of {graph.target.name}")
+        fed |= reach
+        while reach:
+            t = (reach & -reach).bit_length() - 1
+            args[t] = pred[s] if row >> (t + n) & 1 else var[s]
+            reach &= reach - 1
     return Call(graph.target.name, tuple(args), label)
 
 
@@ -57,11 +63,17 @@ def synthesize(gs: GraphSet) -> Program:
         raise ValueError("cannot synthesize from an empty graph set")
     arity = max(sig.arity for sig in gs.sigs)
     params = tuple(f"x{j}" for j in range(arity))
+    # the nodes are immutable, so every branch shares one of each
+    nodes = ([Succ(p) for p in params], [Var(p) for p in params], [Pred(p) for p in params])
     defs, offset = [], 0
     for sig in gs.sigs:
+        if not is_function_name(sig.name):
+            raise SynthesisError(
+                f"function name {sig.name!r} does not read back as a callable function"
+            )
         outgoing = [g for g in gs.graphs if g.source == sig]
         # branch h holds the body's h-th call, so its label is offset + h
-        calls = [_branch_call(g, params, arity, offset + h) for h, g in enumerate(outgoing)]
+        calls = [_branch_call(g, nodes, offset + h) for h, g in enumerate(outgoing)]
         offset += len(calls)
         body: CondExpr = calls.pop() if calls else Var(params[0])
         for h in range(len(calls) - 1, -1, -1):

@@ -8,12 +8,22 @@ import random
 
 from hypothesis import strategies as st
 
-from sct import Arc, ArcKind, CompositionError, FunSig, GraphSet, SizeChangeGraph
+from sct import (
+    Arc,
+    ArcKind,
+    CompositionError,
+    FunSig,
+    GraphSet,
+    LassoMultipath,
+    SizeChangeGraph,
+)
+from sct.colorings import EPColoring
 from sct.extract import Description, Mode, extract_description
 from sct.fixtures import ackermann_program
 from sct.interp import Fuel, OutOfFuel, SafetyReport, State, Transition, Violation
 from sct.parser import ParseError
-from sct.reduction import ChoiceState, active_sets, family_signature, index_sets
+from sct.record import record
+from sct.reduction import ReversalRun, _family_graph, family_signature, index_sets
 from sct.syntax import (
     And,
     Call,
@@ -459,33 +469,120 @@ def corrupted_ackermann_description() -> Description:
     return Description((bad,) + description.sites[1:])
 
 
+# --- the reversal's choice machine, one record per state ----------------------
+
+
+@record
+class ChoiceState:
+    """One chosen color per index set, always a member of that set."""
+
+    k: int
+    choices: tuple[int, ...]  # aligned with index_sets(k)
+
+    def __post_init__(self) -> None:
+        sets = index_sets(self.k)
+        if len(self.choices) != len(sets):
+            raise ValueError("need one choice per index set")
+        for s, c in zip(sets, self.choices):
+            if c not in s:
+                raise ValueError(f"choice {c} is not in {s}")
+
+
+def initial_chi(k: int) -> ChoiceState:
+    return ChoiceState(k, tuple(s[0] for s in index_sets(k)))
+
+
+def chi_step(state: ChoiceState, observed: int) -> ChoiceState:
+    """Advance each per-subset choice on an observed color.
+
+    A choice moves to the observed color exactly when that color is the next
+    element of the subset's cyclic enumeration; singleton subsets never move.
+    """
+    if not 0 <= observed < state.k:
+        raise ValueError(f"color {observed} out of range")
+    new = []
+    for s, current in zip(index_sets(state.k), state.choices):
+        if len(s) == 1:
+            new.append(s[0])
+            continue
+        succ = s[(s.index(current) + 1) % len(s)]
+        new.append(observed if succ == observed else current)
+    return ChoiceState(state.k, tuple(new))
+
+
+def active_sets(state: ChoiceState, color: int) -> frozenset[tuple[int, ...]]:
+    """Subsets whose choice is at enumeration end and whose least element is the color."""
+    return frozenset(
+        s
+        for s, current in zip(index_sets(state.k), state.choices)
+        if current == s[-1] and s[0] == color
+    )
+
+
+def graph_for(state: ChoiceState, color: int) -> SizeChangeGraph:
+    """The size-change graph one (choice state, color) step contributes: the
+    family graph strict on the active sets of the largest active size."""
+    active = active_sets(state, color)
+    m = max(len(s) for s in active)
+    chosen = {p for p, s in enumerate(index_sets(state.k)) if s in active and len(s) == m}
+    return _family_graph(state.k, m, chosen)
+
+
+def reference_reversal_multipath(c: EPColoring) -> ReversalRun:
+    """`build_reversal_multipath` by `ChoiceState`, `graph_for` and `chi_step`,
+    with graphs told apart by equality."""
+    prefix_len, period_len = len(c.prefix), len(c.period)
+
+    def pos(x: int) -> int:
+        return x if x < prefix_len else prefix_len + (x - prefix_len) % period_len
+
+    state = initial_chi(c.k)
+    seen: dict[tuple[tuple[int, ...], int], int] = {}
+    distinct: dict[SizeChangeGraph, int] = {}  # in first-appearance order
+    word = []
+    x = 0
+    while True:
+        key = (state.choices, pos(x))
+        if key in seen:
+            start = seen[key]
+            break
+        seen[key] = x
+        color = c.at(x)
+        word.append(distinct.setdefault(graph_for(state, color), len(distinct)))
+        state = chi_step(state, color)
+        x += 1
+    lasso = LassoMultipath(tuple(word[:start]), tuple(word[start:]))
+    return ReversalRun(lasso, GraphSet.of(distinct))
+
+
 def reference_graph_for(state: ChoiceState, color: int) -> SizeChangeGraph:
     """`graph_for` by `Arc` records: with m the largest active-subset size, a
     strict self-arc on z_I for active I of size m, a non-strict self-arc on
     inactive z_I of size >= m, and no other arcs."""
     k = state.k
     active = active_sets(state, color)
-    m = max(s.size for s in active)
+    m = max(len(s) for s in active)
     sig = family_signature(k)
     arcs = []
     for p, s in enumerate(index_sets(k)):
-        if s in active and s.size == m:
+        if s in active and len(s) == m:
             arcs.append(Arc(p, ArcKind.STRICT, p))
-        elif s not in active and s.size >= m:
+        elif s not in active and len(s) >= m:
             arcs.append(Arc(p, ArcKind.NONSTRICT, p))
     return SizeChangeGraph(sig, sig, tuple(arcs))
 
 
 def reference_spp_family(k: int) -> GraphSet:
     """`spp_reduction_family` by `reference_graph_for` on each choice's least
-    state: S.last on the chosen sets, S.first elsewhere, sorted on (choices, c)."""
+    state: the last member on the chosen sets, the first elsewhere, sorted on
+    (choices, c)."""
     sets = index_sets(k)
     graphs = {}
     for c in range(k):
         for m in range(1, k - c + 1):
-            candidates = [s for s in sets if s.first == c and s.size == m]
+            candidates = [s for s in sets if s[0] == c and len(s) == m]
             for r in range(1, len(candidates) + 1):
                 for chosen in itertools.combinations(candidates, r):
-                    choices = tuple(s.last if s in chosen else s.first for s in sets)
+                    choices = tuple(s[-1] if s in chosen else s[0] for s in sets)
                     graphs[choices, c] = reference_graph_for(ChoiceState(k, choices), c)
     return GraphSet.of(graphs[key] for key in sorted(graphs))

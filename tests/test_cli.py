@@ -213,10 +213,10 @@ class TestPrinciples:
 
     @pytest.mark.parametrize("k", ["13", "40"])
     def test_reversal_beyond_the_color_bound_exits_2(self, capsys, monkeypatch, k):
-        def no_sets(members):
+        def no_sets(*args):
             raise AssertionError("index sets allocated")
 
-        monkeypatch.setattr(reduction, "IndexSet", no_sets)
+        monkeypatch.setattr(reduction.itertools, "combinations", no_sets)
         assert main(["principles", "reversal", "--k", k, "--period", "0,1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -230,6 +230,42 @@ class TestPrinciples:
         assert code == 0
         assert (data["center"], data["color"]) == (0, 0)
         assert data["triangles"] >= 5
+
+    @pytest.fixture
+    def star_file(self, tmp_path):
+        path = tmp_path / "pairs.json"
+        path.write_text('{"k": 2, "n": 4, "rows": [[0, 0, 0], [0, 0], [0]]}', encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "flags", [[], ["--n", "4"], ["--k", "2"], ["--n", "4", "--k", "2"]],
+        ids=["none", "n", "k", "n-and-k"],
+    )
+    def test_star_file_takes_n_and_k_from_the_file(self, capsys, star_file, flags):
+        argv = ["principles", "star", "--pattern", "file", "--file", star_file, *flags]
+        code, data = run_json(capsys, [*argv, "--min-triangles", "3"])
+        assert code == 0
+        assert (data["center"], data["color"], data["triangles"]) == (0, 0, 3)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--n", "3"], "--n 3 does not match the file's n = 4"),
+            (["--k", "3"], "--k 3 does not match the file's k = 2"),
+            (["--n", "4", "--k", "1"], "--k 1 does not match the file's k = 2"),
+        ],
+        ids=["n", "k", "n-and-k"],
+    )
+    def test_star_file_mismatch_exits_2(self, capsys, star_file, flags, message):
+        assert main(["principles", "star", "--pattern", "file", "--file", star_file, *flags]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("pattern", ["parity", "constant"])
+    def test_star_pattern_without_n_exits_2(self, capsys, pattern):
+        assert main(["principles", "star", "--pattern", pattern, "--k", "2"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: --pattern {pattern} needs --n\n")
 
     def test_star_without_colors_exits_2(self, capsys):
         assert main(["principles", "star", "--k", "0", "--n", "5"]) == 2

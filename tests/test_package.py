@@ -105,6 +105,20 @@ def test_graphs_check_loads_only_what_it_uses(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["principles", "reversal", "--k", "2", "--period", "0,1"], ["principles", "spp-family", "--k", "2"]],
+    ids=["reversal", "spp-family"],
+)
+def test_reduction_commands_load_only_what_they_use(argv):
+    out, err = run_python("import sys; from sct.cli import main; main(sys.argv[1:]); " + LOADED, *argv)
+    assert json.loads(out)
+    loaded = set(err.split())
+    assert {"sct.colorings", "sct.reduction", "sct.graphs", "sct.jsonio"} <= loaded
+    unused = {"sct.parser", "sct.interp", "sct.oracle", "sct.extract", "dataclasses"}
+    assert not loaded & unused
+
+
+@pytest.mark.parametrize(
     "argv, used", [(["run", "ack.sct", "A", "2", "3"], "sct.interp"), (["analyze", "ack.sct"], "sct.extract")]
 )
 def test_program_commands_load_neither_oracle_nor_dataclasses(tmp_path, argv, used):
@@ -157,8 +171,6 @@ SAMPLES = {
     interp.SafetyReport: ([], 3, 1),
     oracle.OracleReport: (LASSO, 4, 10),
     parser.Diagnostic: ("unknown parameter 'z'", 1, 9),
-    reduction.IndexSet: ((0, 2),),
-    reduction.ChoiceState: (2, reduction.initial_chi(2).choices),
     reduction.ReversalRun: (LASSO, GS),
     colorings.EPColoring: (2, (1,), (0, 1)),
     colorings.PairColoring: (2, 3, {(0, 1): 0, (0, 2): 1, (1, 2): 1}),

@@ -3,7 +3,16 @@ import random
 
 import pytest
 
-from helpers import reference_graph_for, reference_spp_family
+from helpers import (
+    ChoiceState,
+    active_sets,
+    chi_step,
+    graph_for,
+    initial_chi,
+    reference_graph_for,
+    reference_reversal_multipath,
+    reference_spp_family,
+)
 from sct import (
     check_sct_criterion,
     closure,
@@ -12,15 +21,9 @@ from sct import (
 from sct.colorings import EPColoring, spp_witness
 from sct.graphs import Arc, ArcKind, GraphSet, SizeChangeGraph
 from sct.reduction import (
-    ChoiceState,
-    IndexSet,
-    active_sets,
     build_reversal_multipath,
-    chi_step,
     family_signature,
-    graph_for,
     index_sets,
-    initial_chi,
     spp_reduction_family,
     warmup_family,
 )
@@ -42,7 +45,7 @@ def random_coloring(rng, k, max_prefix=3, max_period=4):
 
 class TestIndexSets:
     def test_order_by_size_then_lex(self):
-        assert [s.members for s in index_sets(3)] == [
+        assert list(index_sets(3)) == [
             (0,),
             (1,),
             (2,),
@@ -64,11 +67,11 @@ class TestIndexSets:
     def test_names_distinct_up_to_the_bound(self):
         assert len(set(family_signature(12).params)) == 2**12 - 1
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            IndexSet(())
-        with pytest.raises(ValueError):
-            IndexSet((1, 1))
+    def test_sets_are_nonempty_and_ascending(self):
+        for k in range(1, 13):
+            sets = index_sets(k)
+            assert len(set(sets)) == len(sets) == 2**k - 1
+            assert all(s and s == tuple(sorted(set(s))) and 0 <= s[0] <= s[-1] < k for s in sets)
 
 
 class TestChi:
@@ -107,7 +110,7 @@ class TestChi:
             for _ in range(200):
                 state = chi_step(state, rng.randrange(k))
                 for s, c in zip(index_sets(k), state.choices):
-                    assert c in s.members
+                    assert c in s
 
 
 class TestGraphFor:
@@ -181,7 +184,7 @@ class TestFamily:
     def test_matches_product_enumeration(self, k):
         """Every (choice state, color) pair, deduplicated in first-appearance order."""
         graphs = []
-        for choices in itertools.product(*[s.members for s in index_sets(k)]):
+        for choices in itertools.product(*index_sets(k)):
             for color in range(k):
                 g = reference_graph_for(ChoiceState(k, choices), color)
                 if g not in graphs:
@@ -212,7 +215,7 @@ def assert_descent_at_witness_set(coloring):
     run = build_reversal_multipath(coloring)
     witness = decide_periodic_descent(run.lasso, run.graphs)
     assert witness is not None
-    target = index_sets(coloring.k).index(IndexSet.of(spp_witness(coloring)))
+    target = index_sets(coloring.k).index(tuple(sorted(spp_witness(coloring))))
     assert target in witness.params
     return witness.params
 
@@ -222,9 +225,10 @@ def recurring_and_active(coloring):
 
     First: every color of the subset recurs in the coloring.  Second: the
     subset is active at some step of the detected cycle, found by replaying
-    the choice machine along the run's prefix and period.  The two agree.
+    the reference choice machine along the run's prefix and period.  The
+    two agree.
     """
-    run = build_reversal_multipath(coloring)
+    run = reference_reversal_multipath(coloring)
     cut = len(run.lasso.prefix)
     state, period_active = initial_chi(coloring.k), set()
     for x in range(cut + len(run.lasso.period)):
@@ -233,7 +237,7 @@ def recurring_and_active(coloring):
         state = chi_step(state, coloring.at(x))
     recurring = spp_witness(coloring)
     return {
-        s: (set(s.members) <= recurring, s in period_active) for s in index_sets(coloring.k)
+        s: (set(s) <= recurring, s in period_active) for s in index_sets(coloring.k)
     }
 
 
@@ -241,17 +245,17 @@ class TestReversal:
     def test_alternating_pair(self):
         run = build_reversal_multipath(EPColoring(2, (), (0, 1)))
         witness = decide_periodic_descent(run.lasso, run.graphs)
-        assert index_sets(2)[witness.params[0]].members == (0, 1)
+        assert index_sets(2)[witness.params[0]] == (0, 1)
 
     def test_single_recurring_color(self):
         run = build_reversal_multipath(EPColoring(2, (), (0,)))
         witness = decide_periodic_descent(run.lasso, run.graphs)
-        assert index_sets(2)[witness.params[0]].members == (0,)
+        assert index_sets(2)[witness.params[0]] == (0,)
 
     def test_one_color(self):
         run = build_reversal_multipath(EPColoring(1, (), (0,)))
         witness = decide_periodic_descent(run.lasso, run.graphs)
-        assert index_sets(1)[witness.params[0]].members == (0,)
+        assert index_sets(1)[witness.params[0]] == (0,)
 
     def test_descent_lands_on_the_recurring_set_exhaustively(self):
         extras = 0
@@ -280,6 +284,28 @@ class TestReversal:
 
     def test_recurring_vs_active_examples(self):
         both = recurring_and_active(EPColoring(2, (), (0, 1)))
-        assert both[IndexSet.of({0, 1})] == (True, True)
-        assert recurring_and_active(EPColoring(2, (), (1,)))[IndexSet.of({0})] == (False, False)
-        assert recurring_and_active(EPColoring(1, (), (0,)))[IndexSet.of({0})] == (True, True)
+        assert both[(0, 1)] == (True, True)
+        assert recurring_and_active(EPColoring(2, (), (1,)))[(0,)] == (False, False)
+        assert recurring_and_active(EPColoring(1, (), (0,)))[(0,)] == (True, True)
+
+    @staticmethod
+    def assert_matches_reference(coloring):
+        run, expected = build_reversal_multipath(coloring), reference_reversal_multipath(coloring)
+        assert run.lasso == expected.lasso
+        assert run.graphs == expected.graphs
+        assert [g.rows for g in run.graphs.graphs] == [g.rows for g in expected.graphs.graphs]
+
+    def test_matches_reference_on_the_sweep(self):
+        """Every coloring with k <= 3, prefix length <= 2 and period length <= 3."""
+        count = 0
+        for k in (1, 2, 3):
+            for coloring in all_colorings(k, max_prefix=2, max_period=3):
+                self.assert_matches_reference(coloring)
+                count += 1
+        assert count == 614
+
+    @pytest.mark.parametrize("k", [4, 5, 6, 7, 8])
+    def test_matches_reference_on_seeded_colorings(self, k):
+        rng = random.Random(5400 + k)
+        for _ in range(20):
+            self.assert_matches_reference(random_coloring(rng, k, max_prefix=4, max_period=2 * k))

@@ -2,8 +2,10 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_functional_graph_set
+from helpers import random_functional_graph_set, reference_lex
 from sct import (
     Arc,
     ArcKind,
@@ -19,8 +21,9 @@ from sct import (
 from sct.cli import main
 from sct.extract import Mode, extract_description
 from sct.jsonio import dumps, graph_set_to_json
+from sct.parser import ParseError, is_function_name
 from sct.reduction import warmup_family
-from sct.syntax import format_program
+from sct.syntax import PRIM_OPS, format_program
 
 
 class TestSchema:
@@ -67,6 +70,50 @@ class TestSchema:
         )
         with pytest.raises(SynthesisError):
             synthesize(GraphSet.of((g,)))
+
+
+def strict_loop(name: str) -> GraphSet:
+    """One function named name with one strict self-loop on its first parameter."""
+    sig = FunSig(name, ("x", "y"))
+    return GraphSet.of((SizeChangeGraph(sig, sig, (Arc(0, ArcKind.STRICT, 0),)),))
+
+
+class TestNames:
+    @pytest.mark.parametrize(
+        "name", ["plus", "if", "f g", ""], ids=["primitive", "keyword", "two-words", "empty"]
+    )
+    def test_unreadable_name_exits_2(self, tmp_path, capsys, name):
+        # `plus` once came out as `plus(x0, x1) = plus(x0-1, x1+1)`, whose
+        # call parses as the primitive, so the graph was lost
+        path = tmp_path / "graphs.json"
+        path.write_text(dumps(graph_set_to_json(strict_loop(name))), encoding="utf-8")
+        assert main(["synth", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: function name {name!r} does not read back as a callable function\n"
+        )
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        st.sampled_from(["f", "_", "iff", "plus1", "then_", "x0", "é", "x²", "½", "max", "else"])
+        | st.text(alphabet="aif_0²½é #(", max_size=4)
+    )
+    def test_every_accepted_name_round_trips(self, name):
+        try:
+            tokens = reference_lex(name)
+        except ParseError:
+            tokens = []
+        one_identifier = tokens[:1] == [("ident", name, 1, 1)] and len(tokens) == 2
+        assert is_function_name(name) == (one_identifier and name not in PRIM_OPS)
+        gs = strict_loop(name)
+        if not is_function_name(name):
+            with pytest.raises(SynthesisError):
+                synthesize(gs)
+            return
+        program = parse_program(format_program(synthesize(gs)))
+        description = extract_description(program, Mode.SYNTACTIC)
+        assert graph_multiset(description.sites) == graph_multiset(gs.graphs)
 
 
 class TestRoundTrip:
