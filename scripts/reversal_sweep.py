@@ -8,6 +8,7 @@ exactly the set of colors that recur forever.
 
 import argparse
 import itertools
+import sys
 from collections import Counter
 
 from sct import decide_periodic_descent
@@ -39,10 +40,12 @@ def main():
         total += 1
         run = build_reversal_multipath(c)
         witness = decide_periodic_descent(run.lasso, run.graphs)
-        assert witness is not None
+        if witness is None:
+            sys.exit(f"no descent for {c}")
         target = sets.index(tuple(sorted(spp_witness(c))))
         params = witness.params
-        assert target in params, (c, params)
+        if target not in params:
+            sys.exit(f"descent at parameters {params} misses {names[target]} for {c}")
         extras += len(params) - 1
         by_param[names[target]] += 1
         cycle_lengths[len(run.lasso.period)] += 1

@@ -66,8 +66,6 @@ def _verdict_report(gs) -> dict:
     from . import jsonio
     from .graphs import check_sct_criterion, closure
 
-    if not gs.graphs:
-        return {"sct": True, "closure_size": 0}
     cl = closure(gs)
     report = jsonio.verdict_to_json(check_sct_criterion(gs, cl), gs)
     report["closure_size"] = len(cl)

@@ -63,11 +63,11 @@ class SizeChangeGraph:
 
     Stored as one int per source parameter: in row i, bit t means "i reaches
     target t" and bit ``t + target.arity`` means "i reaches target t
-    strictly".  Equality compares rows, then signatures; the hash is computed
-    on first use.  ``arcs`` is a derived view, sorted by (src, tgt).
+    strictly".  Equality compares rows, then signatures, and the hash is
+    taken from both.  ``arcs`` is a derived view, sorted by (src, tgt).
     """
 
-    __slots__ = ("source", "target", "rows", "_hash", "_arcs")
+    __slots__ = ("source", "target", "rows", "_arcs")
 
     def __new__(cls, source: FunSig, target: FunSig, arcs: Iterable[Arc]) -> "SizeChangeGraph":
         arcs = tuple(sorted(arcs, key=lambda a: (a.src, a.tgt)))
@@ -112,14 +112,7 @@ class SizeChangeGraph:
     __delattr__ = __setattr__
 
     def __hash__(self) -> int:
-        # computed on first use: closure elements are told apart by rows and
-        # most are never hashed
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.source, self.target, self.rows))
-            object.__setattr__(self, "_hash", h)
-            return h
+        return hash((self.source, self.target, self.rows))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SizeChangeGraph):
@@ -192,18 +185,19 @@ def _product(rows0: Sequence[int], rows1: Sequence[int], m: int, n: int) -> tupl
     reaches (bringing their strict bits), and the reach bits of the g1 rows
     it reaches strictly become strict bits.
     """
+    low_m, low_n = (1 << m) - 1, (1 << n) - 1
     out = []
     for r in rows0:
         acc = strict = 0
-        reach = r & ((1 << m) - 1)
+        reach, strict_reach = r & low_m, r >> m
         while reach:
             bit = reach & -reach
             row = rows1[bit.bit_length() - 1]
             acc |= row
-            if r >> m & bit:
+            if strict_reach & bit:
                 strict |= row
             reach ^= bit
-        out.append(acc | (strict & ((1 << n) - 1)) << n)
+        out.append(acc | (strict & low_n) << n)
     return tuple(out)
 
 
@@ -336,33 +330,12 @@ class GraphSet:
         return [self.names[i] for i in word]
 
 
+@record
 class DerivedGraph:
-    """A closure element: its graph, the element it extends and the base graph appended.
+    """A closure element: its graph and the word of base-graph indices that composes to it."""
 
-    ``parent`` is None for a base graph.  The witness word is built on demand
-    by walking the parents; equality is identity, as each closure element is
-    built once.
-    """
-
-    __slots__ = ("graph", "parent", "last")
-
-    def __init__(self, graph: SizeChangeGraph, parent: Optional["DerivedGraph"], last: int) -> None:
-        self.graph = graph
-        self.parent = parent
-        self.last = last
-
-    def __repr__(self) -> str:
-        return f"DerivedGraph({self.graph!r}, witness={self.witness!r})"
-
-    @property
-    def witness(self) -> tuple[int, ...]:
-        """The word of base-graph indices that composes to the graph."""
-        word = []
-        dg: Optional[DerivedGraph] = self
-        while dg is not None:
-            word.append(dg.last)
-            dg = dg.parent
-        return tuple(reversed(word))
+    graph: SizeChangeGraph
+    witness: tuple[int, ...]
 
 
 class Closure:
@@ -370,13 +343,12 @@ class Closure:
 
     Element k is ``keys[k]``, its (source index, target index, rows) with
     indices into ``gs.sigs``; it extends element ``parents[k]`` (-1 for a
-    base graph) by the base graph ``lasts[k]``.  Graph objects are built only
-    for elements a caller reads: ``elements`` builds them all on first read,
-    and the criterion builds its failing idempotent with its parent chain.
-    Either reuses the elements the other built, so each element is one object.
+    base graph) by the base graph ``lasts[k]``.  No graph object is built
+    until a caller reads one: ``element(k)`` alone, or all of ``elements``
+    at once.  The empty set closes to no element.
     """
 
-    __slots__ = ("gs", "keys", "parents", "lasts", "_built", "_elements")
+    __slots__ = ("gs", "keys", "parents", "lasts", "_elements")
 
     def __init__(
         self,
@@ -386,45 +358,43 @@ class Closure:
         lasts: list[int],
     ) -> None:
         self.gs, self.keys, self.parents, self.lasts = gs, keys, parents, lasts
-        self._built: dict[int, DerivedGraph] = {}
         self._elements: Optional[tuple[DerivedGraph, ...]] = None
 
     def __len__(self) -> int:
         return len(self.keys)
 
+    def witness(self, k: int) -> tuple[int, ...]:
+        """The witness word of element k, 0 <= k < len(self); -1 gives the empty word."""
+        word = []
+        while k >= 0:
+            word.append(self.lasts[k])
+            k = self.parents[k]
+        return tuple(reversed(word))
+
     @property
     def witness_bound(self) -> int:
         # breadth-first order: witness lengths never decrease along elements
-        length, k = 0, len(self.keys) - 1
-        while k >= 0:
-            length += 1
-            k = self.parents[k]
-        return length
+        return len(self.witness(len(self) - 1))
+
+    def element(self, k: int) -> DerivedGraph:
+        """Element k, built alone unless ``elements`` has been read."""
+        if self._elements is not None:
+            return self._elements[k]
+        k = range(len(self))[k]  # a negative k counts from the end, as for elements
+        return DerivedGraph(self._graph(self.keys[k]), self.witness(k))
 
     @property
     def elements(self) -> tuple[DerivedGraph, ...]:
         if self._elements is None:
-            self._elements = tuple(map(self._element, range(len(self.keys))))
+            words: list[tuple[int, ...]] = []
+            for parent, last in zip(self.parents, self.lasts):  # a parent comes first
+                words.append((words[parent] if parent >= 0 else ()) + (last,))
+            self._elements = tuple(map(DerivedGraph, map(self._graph, self.keys), words))
         return self._elements
 
-    def _element(self, k: int) -> DerivedGraph:
-        """Element k, built with the part of its parent chain not built yet."""
-        built, parents = self._built, self.parents
-        chain = []
-        while k >= 0 and k not in built:
-            chain.append(k)
-            k = parents[k]
-        dg = built[k] if k >= 0 else None
+    def _graph(self, key: tuple[int, int, tuple[int, ...]]) -> SizeChangeGraph:
         sigs = self.gs.sigs
-        for k in reversed(chain):
-            last = self.lasts[k]
-            if dg is None:  # a base graph
-                graph = self.gs.graphs[last]
-            else:
-                src, tgt, rows = self.keys[k]
-                graph = SizeChangeGraph._of_rows(sigs[src], sigs[tgt], rows)
-            dg = built[k] = DerivedGraph(graph, dg, last)
-        return dg
+        return SizeChangeGraph._of_rows(sigs[key[0]], sigs[key[1]], key[2])
 
 
 def closure(gs: GraphSet) -> Closure:
@@ -439,8 +409,6 @@ def closure(gs: GraphSet) -> Closure:
     element reaches all its successors through the fan-out map of its target
     signature: one lookup per row.
     """
-    if not gs.graphs:
-        raise ValueError("cannot close an empty graph set")
     index = {sig: k for k, sig in enumerate(gs.sigs)}
     bases = [(j, index[g.source], index[g.target], g.rows) for j, g in enumerate(gs.graphs)]
     fans = _fan_outs(gs.sigs, bases)
@@ -547,8 +515,6 @@ def decide_periodic_descent(
 
 def check_sct_criterion(gs: GraphSet, cl: Optional[Closure] = None) -> Verdict:
     """Terminating iff every idempotent in the closure has a strict self-arc."""
-    if not gs.graphs:
-        return Verdict(True)
     if cl is None:
         cl = closure(gs)
     arity = [sig.arity for sig in cl.gs.sigs]
@@ -557,7 +523,7 @@ def check_sct_criterion(gs: GraphSet, cl: Optional[Closure] = None) -> Verdict:
             continue
         n = arity[src]
         if not _has_strict_diagonal(rows, n) and _product(rows, rows, n, n) == rows:
-            dg = cl._element(k)
+            dg = cl.element(k)
             lasso = LassoMultipath((), dg.witness)
             # a failing idempotent must also be descent-free as a lasso
             if decide_periodic_descent(lasso, gs) is not None:

@@ -62,6 +62,16 @@ def random_graph(rng: random.Random, source: FunSig, target: FunSig) -> SizeChan
     return SizeChangeGraph(source, target, tuple(arcs))
 
 
+def random_sparse_graph(rng: random.Random, source: FunSig, target: FunSig) -> SizeChangeGraph:
+    """At most three arcs per source parameter, to distinct targets, each strict half the time."""
+    arcs = [
+        Arc(s, rng.choice((ArcKind.STRICT, ArcKind.NONSTRICT)), t)
+        for s in range(source.arity)
+        for t in rng.sample(range(target.arity), min(target.arity, rng.randint(0, 3)))
+    ]
+    return SizeChangeGraph(source, target, tuple(arcs))
+
+
 def random_graph_set(
     rng: random.Random, max_funs: int = 2, max_arity: int = 2, max_graphs: int = 3
 ) -> GraphSet:

@@ -192,6 +192,43 @@ class TestOracleCommand:
         assert report["criterion_agrees"] is True
 
 
+class TestNothingToClose:
+    """A graph set without graphs, and a program without calls, terminate with
+    an empty closure; the oracle of ``graphs check`` is skipped on them."""
+
+    VERDICT = '{\n  "sct": true,\n  "closure_size": 0\n}\n'
+
+    @pytest.fixture
+    def empty_file(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text('{"functions": [], "graphs": []}')
+        return str(path)
+
+    @pytest.mark.parametrize("flags", [[], ["--oracle", "2"]], ids=["plain", "oracle"])
+    def test_graphs_check(self, capsys, empty_file, flags):
+        assert main(["graphs", "check", empty_file, *flags]) == 0
+        assert capsys.readouterr() == (self.VERDICT, "")
+
+    def test_oracle_compare(self, capsys, empty_file):
+        assert main(["oracle", empty_file, "--max-word-len", "3", "--compare"]) == 0
+        assert capsys.readouterr() == (
+            '{\n  "max_word_len": 3,\n  "words_checked": 0,\n  "counterexample": null,\n'
+            '  "criterion_agrees": true\n}\n',
+            "",
+        )
+
+    @pytest.mark.parametrize("mode", ["guarded", "syntactic"])
+    def test_analyze_call_free_program(self, capsys, tmp_path, mode):
+        path = tmp_path / "id.sct"
+        path.write_text("f(x) = x\n")
+        assert main(["analyze", str(path), "--mode", mode]) == 0
+        assert capsys.readouterr() == (
+            f'{{\n  "mode": "{mode}",\n  "sct": true,\n  "closure_size": 0,\n'
+            '  "description": {\n    "functions": [],\n    "graphs": []\n  }\n}\n',
+            "",
+        )
+
+
 class TestPrinciples:
     def test_spp_family(self, capsys):
         code, data = run_json(capsys, ["principles", "spp-family", "--k", "2"])

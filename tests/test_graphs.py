@@ -14,6 +14,7 @@ from helpers import (
     random_graph_set,
     random_permutation_set,
     random_sigs,
+    random_sparse_graph,
     random_wide_graph_set,
     reference_closure,
     reference_compose,
@@ -27,6 +28,7 @@ from sct import (
     GraphSet,
     LassoMultipath,
     SizeChangeGraph,
+    Verdict,
     check_sct_criterion,
     closure,
     compose,
@@ -189,14 +191,19 @@ class TestKernel:
     """The packed kernel against composition on `Arc` objects."""
 
     def test_compose_matches_reference(self):
+        """Dense graphs on up to 6 parameters, then sparse ones on up to 70 (rows past 128 bits)."""
         rng = random.Random(9)
-        for _ in range(5000):
-            sigs = random_sigs(rng, 3, 6)
-            a, b, c = (rng.choice(sigs) for _ in range(3))
-            g0, g1 = random_graph(rng, a, b), random_graph(rng, b, c)
-            packed, plain = compose(g0, g1), reference_compose(g0, g1)
-            assert packed == plain
-            assert packed.arcs == plain.arcs
+        wide = 0
+        for max_arity, trials, draw in ((6, 5000, random_graph), (70, 1000, random_sparse_graph)):
+            for _ in range(trials):
+                sigs = random_sigs(rng, 3, max_arity)
+                a, b, c = (rng.choice(sigs) for _ in range(3))
+                g0, g1 = draw(rng, a, b), draw(rng, b, c)
+                packed, plain = compose(g0, g1), reference_compose(g0, g1)
+                assert packed == plain
+                assert packed.arcs == plain.arcs
+                wide += max(map(int.bit_length, g0.rows + g1.rows + packed.rows)) > 128
+        assert wide > 80
 
     @staticmethod
     def assert_closure_matches_reference(gs):
@@ -304,6 +311,12 @@ class TestClosure:
             cl = closure(random_graph_set(rng, max_funs=3, max_arity=3, max_graphs=4))
             assert cl.witness_bound == max(len(dg.witness) for dg in cl.elements)
 
+    def test_empty_set_closes_to_nothing(self):
+        gs = GraphSet.of(())
+        cl = closure(gs)
+        assert (len(cl), cl.witness_bound, cl.elements) == (0, 0, ())
+        assert check_sct_criterion(gs) == check_sct_criterion(gs, cl) == Verdict(True)
+
     def test_complete_for_short_words(self):
         rng = random.Random(4)
         for _ in range(30):
@@ -406,13 +419,18 @@ class TestCriterion:
         assert failures == 4
 
     def test_failing_element_is_found_in_elements(self):
-        """``cl.elements`` holds the verdict's own object at the reference index,
-        whether it is read before or after the criterion."""
+        """``cl.elements`` holds the verdict's element at the reference index,
+        whether it is read before or after the criterion, and each element
+        built alone (by its backward walk) equals the one built in the
+        forward pass of ``elements``."""
         rng = random.Random(17)
         sets = [random_graph_set(rng, max_funs=3, max_arity=3, max_graphs=3) for _ in range(100)]
         sets += [random_permutation_set(rng) for _ in range(4)]
         failures = 0
         for gs in sets:
+            cl = closure(gs)
+            alone = [cl.element(k) for k in range(-len(cl), len(cl))]
+            assert alone == list(cl.elements) * 2
             failing = self.reference_failing(reference_closure(gs))
             if not failing:
                 continue

@@ -58,6 +58,20 @@ def test_only_graphs_builds_arcs():
     assert callers == {"graphs.py"}  # the walk finds real calls
 
 
+def test_no_assert_statement():
+    """Checks are explicit, so that ``python -O`` keeps them."""
+    scripts = Path(__file__).resolve().parent.parent / "scripts"
+    paths = [*Path(sct.__file__).parent.rglob("*.py"), *scripts.glob("*.py")]
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+    assert {"graphs.py", "reversal_sweep.py"} <= {path.name for path in paths}  # the walk reads real files
+
+
 def test_oracle_takes_no_idempotent_power():
     """The oracle tests cycles on rows, so it stays independent of the criterion's idempotents."""
     assert not {"SizeChangeGraph", "compose", "idempotent_power"} & set(vars(oracle))
@@ -162,6 +176,7 @@ SAMPLES = {
     Arc: (1, ArcKind.NONSTRICT, 0),
     GraphSet: ((SIG,), (GRAPH,), ("g0",)),
     LassoMultipath: ((), (0, 0)),
+    graphs.DerivedGraph: (GRAPH, (0,)),
     graphs.DescentWitness: ((0,), 1, 2),
     graphs.Verdict: (False, None, LASSO),
     interp.Fuel: (7,),
