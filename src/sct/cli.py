@@ -17,21 +17,15 @@ import sys
 from pathlib import Path
 
 
-class _InputError(Exception):
-    pass
-
-
 def _read_program(path: str):
     from .parser import SourceError, parse_program
 
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return parse_program(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc.strerror}") from None
-    try:
-        return parse_program(text)
-    except SourceError as exc:
-        raise _InputError(f"{path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+    except (UnicodeDecodeError, SourceError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _read_graphs(path: str):
@@ -40,9 +34,9 @@ def _read_graphs(path: str):
     try:
         return jsonio.load_graph_set_file(path)
     except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc.strerror}") from None
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
     except jsonio.SchemaError as exc:
-        raise _InputError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _write(text: str, out: str | Path | None = None) -> None:
@@ -52,7 +46,7 @@ def _write(text: str, out: str | Path | None = None) -> None:
     try:
         Path(out).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise _InputError(f"cannot write {out}: {exc.strerror}") from None
+        raise ValueError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def _emit(data: dict, out: str | None = None) -> None:
@@ -172,7 +166,7 @@ def _parse_colors(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise _InputError(f"{what} must be a comma-separated list of colors") from None
+        raise ValueError(f"{what} must be a comma-separated list of colors") from None
 
 
 def _cmd_spp_family(args) -> int:
@@ -219,13 +213,13 @@ def _cmd_star(args) -> int:
 
     if args.pattern != "file":
         if args.n is None:
-            raise _InputError(f"--pattern {args.pattern} needs --n")
+            raise ValueError(f"--pattern {args.pattern} needs --n")
         k = 2 if args.k is None else args.k
         fn = (lambda i, j: (j - i) % k) if args.pattern == "parity" else (lambda i, j: 0)
         coloring = PairColoring.from_function(k, args.n, fn)
     else:
         if args.file is None:
-            raise _InputError("--pattern file needs --file")
+            raise ValueError("--pattern file needs --file")
         import json
 
         try:
@@ -235,12 +229,12 @@ def _cmd_star(args) -> int:
                 data["k"], data["n"], lambda i, j: rows[i][j - i - 1]
             )
         except (OSError, KeyError, IndexError, TypeError, ValueError) as exc:
-            raise _InputError(f"bad pair-coloring file: {exc}") from None
+            raise ValueError(f"bad pair-coloring file: {exc}") from None
         except RecursionError:  # the decoder recurses once per nested array or object
-            raise _InputError("bad pair-coloring file: invalid JSON: nested too deeply") from None
+            raise ValueError("bad pair-coloring file: invalid JSON: nested too deeply") from None
         for flag, given, found in (("--n", args.n, coloring.n), ("--k", args.k, coloring.k)):
             if given is not None and given != found:
-                raise _InputError(f"{flag} {given} does not match the file's {flag[2:]} = {found}")
+                raise ValueError(f"{flag} {given} does not match the file's {flag[2:]} = {found}")
     witness = star_search(coloring, args.min_triangles)
     if witness is None:
         _emit({"found": False, "min_triangles": args.min_triangles})
@@ -264,7 +258,7 @@ def _cmd_fixtures(args) -> int:
     try:
         directory.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise _InputError(f"cannot write {directory}: {exc.strerror}") from None
+        raise ValueError(f"cannot write {directory}: {exc.strerror}") from None
     written = []
     for name, content in fixtures.fixture_files().items():
         path = directory / name
@@ -345,7 +339,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (_InputError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # last resort: a defect, reported without a traceback

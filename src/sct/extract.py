@@ -16,7 +16,7 @@ from enum import Enum
 
 from .graphs import GraphSet, SizeChangeGraph
 from .record import record
-from .syntax import BoolExpr, Call, CondExpr, EqConst, Expr, If, Lt, Pred, PrimOp, Program, Var
+from .syntax import BoolExpr, Call, Cases, CondExpr, EqConst, Expr, Lt, Pred, PrimOp, Program, Var
 
 
 class Mode(Enum):
@@ -84,9 +84,11 @@ def extract_description(program: Program, mode: Mode) -> Description:
                     walk_expr(a, positive)
 
     def walk_cond(c: CondExpr, positive: frozenset[str]) -> None:
-        while isinstance(c, If):  # along else-if chains without recursion
-            walk_cond(c.then, positive | _forced_positive(c.cond, True))
-            c, positive = c.orelse, positive | _forced_positive(c.cond, False)
+        if isinstance(c, Cases):
+            for b, then in zip(c.conds, c.thens):
+                walk_cond(then, positive | _forced_positive(b, True))
+                positive |= _forced_positive(b, False)
+            c = c.orelse
         walk_expr(c, positive)
 
     for d in program.defs:

@@ -28,11 +28,11 @@ from .syntax import (
     BoolExpr,
     Call,
     CallSiteId,
+    Cases,
     CondExpr,
     Const,
     EqConst,
     Expr,
-    If,
     Le,
     Lt,
     Not,
@@ -157,18 +157,16 @@ class _Compiled:
             raise ValueError(f"{name} takes {fn.sig.arity} argument(s), got {len(values)}")
         return fn
 
-    # --- conditions: the else-if chain as a loop, a then-branch as a nested chain
+    # --- conditions: an else-if chain, whose then-branches may be nested chains
 
     def _chain(self, c: CondExpr, index: dict[str, int]) -> Callable[[tuple], tuple]:
-        conds, branches = [], []
-        while isinstance(c, If):
-            conds.append(c.cond)
-            nested = isinstance(c.then, If)
-            branches.append(self._chain(c.then, index) if nested else self._leaf(c.then, index))
-            c = c.orelse
-        last = self._leaf(c, index)
-        if not conds:
+        if not isinstance(c, Cases):
+            last = self._leaf(c, index)
             return lambda a: last
+        conds, last = c.conds, self._leaf(c.orelse, index)
+        branches = [
+            self._chain(t, index) if isinstance(t, Cases) else self._leaf(t, index) for t in c.thens
+        ]
         tested = {index[b.param] if isinstance(b, EqConst) else -1 for b in conds}
         if len(tested) == 1 and -1 not in tested and all(isinstance(b, tuple) for b in branches):
             # one parameter against constants, as synthesis builds chains: one
@@ -258,12 +256,9 @@ class _Compiled:
             case Pred(name):
                 i = index[name]
                 return lambda a: a[i] - 1 if a[i] > 0 else 0
-            case PrimOp(op, args):
-                f, fs = _PRIM_IMPL[op], [self._value(x, index) for x in args]
-                if len(fs) == 2:
-                    f0, f1 = fs
-                    return lambda a: f(f0(a), f1(a))
-                return lambda a: f(*[g(a) for g in fs])
+            case PrimOp(op, (x, y)):  # the parser admits binary operators only
+                f, f0, f1 = _PRIM_IMPL[op], self._value(x, index), self._value(y, index)
+                return lambda a: f(f0(a), f1(a))
         raise TypeError(e)
 
 

@@ -102,7 +102,7 @@ def load_graph_set_file(path: Union[str, Path]) -> GraphSet:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
             raise SchemaError("", f"invalid JSON: {exc}") from None
         except RecursionError:  # the decoder recurses once per nested array or object
             raise SchemaError("", "invalid JSON: nested too deeply") from None

@@ -22,12 +22,12 @@ from .syntax import (
     And,
     BoolExpr,
     Call,
+    Cases,
     CondExpr,
     Const,
     EqConst,
     Expr,
     FunDef,
-    If,
     Le,
     Lt,
     Not,
@@ -71,10 +71,12 @@ class ValidationError(SourceError):
 # The deepest nesting a program may use.  One level is a call's or an
 # operator's arguments, a then-branch, the operand of `!`, a parenthesized
 # condition, or an operand of `&&` or `||` (a chain of n operands nests n-1
-# deep, as it is built left-associated).  The parser, format_program,
-# extraction, hashing and comparing conditions and the evaluator recurse at
-# most five frames per level, so each stays well inside Python's
-# default recursion limit of 1000.
+# deep, as it is built left-associated); an else-if chain is one Cases node,
+# so its length adds no level.  Every walk of a tree recurses at most six
+# frames per level: the parser, format_program, extraction, the interpreter's
+# compiler (calls run on an explicit stack), and the records' ==, hash and
+# repr, pickle and copy.deepcopy.  So 128 levels take under 800 frames,
+# inside Python's default recursion limit of 1000.
 MAX_NESTING = 128
 
 # the binary connectives, loosest first
@@ -228,18 +230,16 @@ class _Parser:
         return FunDef(sig, self.cond_expr()), header
 
     def cond_expr(self) -> CondExpr:
-        branches = []  # an else-if chain is read by a loop, not by recursion
+        conds, thens = [], []  # an else-if chain is read by a loop, not by recursion
         while self.peek()[0] == "if":
             self.advance()
-            cond = self.bool_expr()
+            conds.append(self.bool_expr())
             self.nest(self.expect("then", "'then'"))
-            branches.append((cond, self.cond_expr()))
+            thens.append(self.cond_expr())
             self.depth -= 1
             self.expect("else", "'else'")
         body = self.arith_expr()
-        for cond, then in reversed(branches):
-            body = If(cond, then, body)
-        return body
+        return Cases(tuple(conds), tuple(thens), body) if conds else body
 
     def bool_expr(self, level: int = 0) -> BoolExpr:
         """Operands joined by || (level 0) or && (level 1), associated to the left."""

@@ -96,30 +96,7 @@ def _fields4(set0, set1, set2, set3, post):
     return __init__, __eq__, __hash__
 
 
-def _fields5(set0, set1, set2, set3, set4, post):
-    def __init__(self, _0, _1, _2, _3, _4):
-        set0(self, _0)
-        set1(self, _1)
-        set2(self, _2)
-        set3(self, _3)
-        set4(self, _4)
-        if post is not None:
-            post(self)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self._0, self._1, self._2, self._3, self._4) == (
-                other._0, other._1, other._2, other._3, other._4
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self._0, self._1, self._2, self._3, self._4))
-
-    return __init__, __eq__, __hash__
-
-
-_TEMPLATES = (None, _fields1, _fields2, _fields3, _fields4, _fields5)
+_TEMPLATES = (None, _fields1, _fields2, _fields3, _fields4)
 
 _MISSING = object()
 

@@ -100,14 +100,16 @@ BoolExpr = Union[EqConst, Lt, Le, And, Or, Not]
 # --- conditionals, definitions, programs -------------------------------------
 
 @record
-class If:
-    cond: BoolExpr
-    then: "CondExpr"
-    orelse: "CondExpr"
+class Cases:
+    # one else-if chain: the first of conds that holds selects its then,
+    # and orelse is taken when none does; conds and thens have one length
+    conds: tuple[BoolExpr, ...]
+    thens: tuple["CondExpr", ...]
+    orelse: Expr
 
 
-# an If is told apart from every Expr class by its type
-CondExpr = Union[Expr, If]
+# a Cases is told apart from every Expr class by its type
+CondExpr = Union[Expr, Cases]
 
 
 @record
@@ -163,11 +165,11 @@ def _format_bool(b: BoolExpr, parent: int) -> str:
 
 
 def format_cond(c: CondExpr) -> str:
-    parts = []
-    while isinstance(c, If):  # along else-if chains without recursion
-        parts.append(f"if {_format_bool(c.cond, 0)} then {format_cond(c.then)} else ")
-        c = c.orelse
-    return "".join(parts) + format_expr(c)
+    if not isinstance(c, Cases):
+        return format_expr(c)
+    return "".join(
+        [f"if {_format_bool(b, 0)} then {format_cond(t)} else " for b, t in zip(c.conds, c.thens)]
+    ) + format_expr(c.orelse)
 
 
 def format_program(p: Program) -> str:

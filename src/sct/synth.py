@@ -19,11 +19,11 @@ from .graphs import FunSig, GraphSet, SizeChangeGraph
 from .parser import is_function_name
 from .syntax import (
     Call,
+    Cases,
     CondExpr,
     EqConst,
     Expr,
     FunDef,
-    If,
     Pred,
     Program,
     Succ,
@@ -76,8 +76,8 @@ def synthesize(gs: GraphSet) -> Program:
         calls = [_branch_call(g, nodes, offset + h) for h, g in enumerate(outgoing)]
         offset += len(calls)
         body: CondExpr = calls.pop() if calls else Var(params[0])
-        for h in range(len(calls) - 1, -1, -1):
-            body = If(EqConst(params[0], h), calls[h], body)
+        if calls:
+            body = Cases(tuple(EqConst(params[0], h) for h in range(len(calls))), tuple(calls), body)
         defs.append(FunDef(FunSig(sig.name, params), body))
     return Program(tuple(defs))
 

@@ -27,9 +27,9 @@ from sct.reduction import ReversalRun, _family_graph, family_signature, index_se
 from sct.syntax import (
     And,
     Call,
+    Cases,
     Const,
     EqConst,
-    If,
     Le,
     Lt,
     Not,
@@ -282,8 +282,8 @@ def reference_run(program: Program, fun: str, values: tuple, fuel: Fuel, on_tran
         d = defs[name]
         env = dict(zip(d.sig.params, values))
         c = d.body
-        while isinstance(c, If):
-            c = c.then if holds(c.cond, env) else c.orelse
+        while isinstance(c, Cases):
+            c = next((t for b, t in zip(c.conds, c.thens) if holds(b, env)), c.orelse)
         return expr(c, env, d.sig, values)
 
     def holds(b, env) -> bool:
@@ -376,9 +376,11 @@ def reference_guard_paths(program: Program) -> list[tuple]:
 
     def walk(e, caller, path) -> None:
         match e:
-            case If(cond, then, orelse):
-                walk(then, caller, path | {(cond, True)})
-                walk(orelse, caller, path | {(cond, False)})
+            case Cases(conds, thens, orelse):
+                for cond, then in zip(conds, thens):
+                    walk(then, caller, path | {(cond, True)})
+                    path = path | {(cond, False)}
+                walk(orelse, caller, path)
             case Call(fun, args, label):
                 sites[label] = (caller, table[fun], args, path)
                 for a in args:

@@ -5,8 +5,10 @@ text and JSON, and text or JSON close to valid, so that the checks behind the
 first parse error are reached too.
 """
 
+import copy
 import io
 import json
+import pickle
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import FUNS, PARAMS, program_text, reference_guard_paths
-from sct import SourceError, parse_program
+from sct import SourceError, parse_program, spp_reduction_family, synthesize
 from sct.cli import main
 from sct.extract import Mode, extract_description
 from sct.parser import MAX_NESTING
@@ -90,6 +92,16 @@ def nested_program(kind, levels):
     return f"f(x) = {body}\ng(y) = y\n"
 
 
+def assert_round_trips(program):
+    """The program survives printing and parsing, and its records compare,
+    hash, print, pickle and copy, all without a RecursionError."""
+    again = parse_program(format_program(program))
+    assert again == program and hash(again) == hash(program)
+    clone = pickle.loads(pickle.dumps(program))
+    assert clone == program and repr(clone) == repr(program)
+    assert copy.deepcopy(program) == program
+
+
 @pytest.mark.parametrize("kind", NESTINGS)
 def test_program_at_the_nesting_limit(workdir, kind):
     path = workdir / f"{kind}.sct"
@@ -97,13 +109,27 @@ def test_program_at_the_nesting_limit(workdir, kind):
     with redirect_stdout(io.StringIO()):
         assert main(["analyze", str(path)]) == 0
         assert main(["run", str(path), "f", "1"]) == 0
-    program = parse_program(path.read_text(encoding="utf-8"))
-    assert parse_program(format_program(program)) == program
+    assert_round_trips(parse_program(path.read_text(encoding="utf-8")))
     path.write_text(nested_program(kind, MAX_NESTING + 1), encoding="utf-8")
     err = io.StringIO()
     with redirect_stderr(err):
         assert main(["analyze", str(path)]) == 2
     assert f"nested deeper than {MAX_NESTING} levels" in err.getvalue()
+
+
+LONG_CHAINS = {
+    # one function with 2,228 branches
+    "spp-family-6": lambda: synthesize(spp_reduction_family(6)),
+    "3000-branches": lambda: parse_program(
+        "f(x) = " + "".join(f"if x={i} then f(x-1) else " for i in range(3000)) + "x\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_CHAINS))
+def test_long_chain_round_trips(name):
+    """An else-if chain is one node, so its length adds no depth."""
+    assert_round_trips(LONG_CHAINS[name]())
 
 
 @st.composite
@@ -214,6 +240,32 @@ def test_graph_set_commands(workdir, data, command):
     path = workdir / "graphs.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     assert_contract([*command, str(path)])
+
+
+# --- files that are not UTF-8 -------------------------------------------------
+
+# each command's arguments, with {} for the file
+NOT_UTF8 = {
+    "analyze": ["analyze", "{}"],
+    "run": ["run", "{}", "f", "1"],
+    "synth": ["synth", "{}"],
+    "graphs-check": ["graphs", "check", "{}"],
+    "oracle": ["oracle", "{}", "--max-word-len", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_UTF8))
+def test_file_that_is_not_utf8_exits_2_naming_it(workdir, name):
+    path = workdir / "latin1.in"
+    path.write_bytes(b"\xff(x) = x\n")
+    argv = [arg.format(path) for arg in NOT_UTF8[name]]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert (code, out.getvalue()) == (2, "")
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
+    assert "can't decode byte 0xff" in lines[0]
 
 
 # --- pair-colouring files -----------------------------------------------------

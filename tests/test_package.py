@@ -169,7 +169,7 @@ SAMPLES = {
     And: (EqConst("x", 0), Lt("x", "y")),
     Or: (Lt("x", "y"), EqConst("y", 1)),
     Not: (COND,),
-    syntax.If: (COND, syntax.Var("x"), syntax.Const(0)),
+    syntax.Cases: ((COND, Lt("x", "y")), (syntax.Var("x"), syntax.Succ("y")), syntax.Const(0)),
     syntax.FunDef: (SIG, syntax.Var("y")),
     syntax.Program: ((syntax.FunDef(SIG, syntax.Var("y")),),),
     FunSig: ("f", ("x", "y")),
@@ -210,6 +210,13 @@ def test_samples_cover_every_record_class():
 def test_equality_needs_the_same_class():
     assert syntax.Var("x") != syntax.Succ("x") and Lt("x", "y") != Le("x", "y")
     assert syntax.Call("f", ()) == syntax.Call("f", (), -1) != syntax.Call("f", (), 0)
+
+
+@pytest.mark.parametrize("count", [0, 5])
+def test_a_record_has_one_to_four_fields(count):
+    cls = type("R", (), {"__annotations__": {f"f{i}": int for i in range(count)}})
+    with pytest.raises(TypeError, match=f"a record has 1 to 4 fields, R has {count}"):
+        record.record(cls)
 
 
 @pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__name__)

@@ -18,10 +18,10 @@ from sct.parser import MAX_NESTING, _Parser
 from sct.syntax import (
     And,
     Call,
+    Cases,
     Const,
     EqConst,
     FunDef,
-    If,
     Not,
     Or,
     Pred,
@@ -45,10 +45,10 @@ class TestParse:
         (d,) = ackermann.defs
         # labels in document order: a call before the calls in its arguments
         inner = Call("A", (Var("x"), Pred("y")), 2)
-        assert d.body == If(
-            EqConst("x", 0),
-            Succ("y"),
-            If(EqConst("y", 0), Call("A", (Pred("x"), Const(1)), 0), Call("A", (Pred("x"), inner), 1)),
+        assert d.body == Cases(
+            (EqConst("x", 0), EqConst("y", 0)),
+            (Succ("y"), Call("A", (Pred("x"), Const(1)), 0)),
+            Call("A", (Pred("x"), inner), 1),
         )
 
     def test_empty_input(self):
@@ -127,7 +127,7 @@ class TestParse:
 
     def test_connective_forms(self):
         p = parse_program(CORPUS[4])
-        cond = p.defs[0].body.cond
+        (cond,) = p.defs[0].body.conds
         assert cond == And(Or(EqConst("x", 0), EqConst("x", 1)), Not(EqConst("x", 2)))
 
     def test_semicolon_and_juxtaposition(self):
