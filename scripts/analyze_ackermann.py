@@ -1,14 +1,7 @@
 #!/usr/bin/env python3
 """End-to-end walk-through on the bundled two-argument Ackermann program."""
 
-from sct import (
-    State,
-    check_sct_criterion,
-    closure,
-    eval_program,
-    sample_safety,
-    trace_transitions,
-)
+from sct import Fuel, check_sct_criterion, closure, eval_program, sample_safety
 from sct.extract import Mode, extract_description
 from sct.fixtures import ackermann_program
 from sct.syntax import format_program
@@ -33,14 +26,11 @@ def main():
         print(f"  {dg.graph}   via {' ; '.join(gs.word_names(dg.witness))}")
     print(f"criterion: {'terminating' if check_sct_criterion(gs, cl).sct else 'NOT terminating'}")
 
-    print("\nfirst transitions from (A, (2, 1)):")
-    sig = program.defs[0].sig
-    for tr in trace_transitions(program, State(sig, (2, 1)), 10**6, max_len=5):
-        print(f"  {tr.source.values} -tau{tr.site}-> {tr.target.values}")
-
-    print("\nvalues:")
+    print("\nvalues, and the calls each costs:")
     for x, y in [(1, 1), (2, 2), (3, 3)]:
-        print(f"  A({x}, {y}) = {eval_program(program, 'A', (x, y), 10**6)}")
+        fuel = Fuel(10**6)
+        value = eval_program(program, "A", (x, y), fuel)
+        print(f"  A({x}, {y}) = {value} in {10**6 - fuel.budget} calls")
 
     report = sample_safety(program, description, trials=500, value_bound=3, fuel=10**6)
     print(

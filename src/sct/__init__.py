@@ -23,8 +23,7 @@ _EXPORTS = {
         "idempotent_power",
     ),
     "interp": (
-        "Fuel", "OutOfFuel", "SafetyReport", "State", "Transition", "eval_program",
-        "sample_safety", "trace_transitions",
+        "Fuel", "OutOfFuel", "SafetyReport", "eval_program", "sample_safety",
     ),
     "oracle": ("OracleReport", "bounded_lasso_oracle"),
     "parser": ("Diagnostic", "ParseError", "SourceError", "ValidationError", "parse_program"),

@@ -28,11 +28,12 @@ def _read_program(path: str):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _read_graphs(path: str):
+def _read_json(path: str, load):
+    """load, a file loader of jsonio, on path; an error names the path."""
     from . import jsonio
 
     try:
-        return jsonio.load_graph_set_file(path)
+        return load(path)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from None
     except jsonio.SchemaError as exc:
@@ -103,10 +104,11 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from . import jsonio
     from .synth import synthesize
     from .syntax import format_program
 
-    program = synthesize(_read_graphs(args.file))
+    program = synthesize(_read_json(args.file, jsonio.load_graph_set_file))
     _write(format_program(program), args.output)
     return 0
 
@@ -132,7 +134,7 @@ def _cmd_oracle(args) -> int:
     from .graphs import check_sct_criterion
     from .oracle import bounded_lasso_oracle
 
-    gs = _read_graphs(args.file)
+    gs = _read_json(args.file, jsonio.load_graph_set_file)
     report = bounded_lasso_oracle(gs, args.max_word_len)
     out = jsonio.oracle_report_to_json(report, gs)
     agrees = True
@@ -148,7 +150,7 @@ def _cmd_graphs_check(args) -> int:
 
     if args.oracle is not None:
         check_max_len(args.oracle)  # also when the set turns out empty
-    gs = _read_graphs(args.file)
+    gs = _read_json(args.file, jsonio.load_graph_set_file)
     out = _verdict_report(gs)
     agrees = True
     # an empty set is terminating without a search, so the oracle is skipped
@@ -220,18 +222,9 @@ def _cmd_star(args) -> int:
     else:
         if args.file is None:
             raise ValueError("--pattern file needs --file")
-        import json
+        from . import jsonio
 
-        try:
-            data = json.loads(Path(args.file).read_text(encoding="utf-8"))
-            rows = data["rows"]
-            coloring = PairColoring.from_function(
-                data["k"], data["n"], lambda i, j: rows[i][j - i - 1]
-            )
-        except (OSError, KeyError, IndexError, TypeError, ValueError) as exc:
-            raise ValueError(f"bad pair-coloring file: {exc}") from None
-        except RecursionError:  # the decoder recurses once per nested array or object
-            raise ValueError("bad pair-coloring file: invalid JSON: nested too deeply") from None
+        coloring = _read_json(args.file, jsonio.load_pair_coloring_file)
         for flag, given, found in (("--n", args.n, coloring.n), ("--k", args.k, coloring.k)):
             if given is not None and given != found:
                 raise ValueError(f"{flag} {given} does not match the file's {flag[2:]} = {found}")

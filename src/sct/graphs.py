@@ -166,9 +166,6 @@ class SizeChangeGraph:
         n = self.target.arity
         return tuple(i for i, r in enumerate(self.rows) if r >> (i + n) & 1)
 
-    def has_strict_self_arc(self) -> bool:
-        return _has_strict_diagonal(self.rows, self.target.arity)
-
     def __str__(self) -> str:
         rel = {ArcKind.STRICT: ">", ArcKind.NONSTRICT: ">="}
         body = ", ".join(

@@ -1,4 +1,4 @@
-"""Fueled call-by-value evaluation over the naturals, with transition tracing.
+"""Fueled call-by-value evaluation over the naturals, with sampled safety checking.
 
 Fuel is spent once per function-call entry, so a fuel budget bounds the
 number of state transitions.  It is the only bound: calls run on an explicit
@@ -49,10 +49,6 @@ class OutOfFuel(Exception):
     """The fuel budget was exhausted before evaluation finished."""
 
 
-class _TraceLimit(Exception):
-    pass
-
-
 @mutable_record
 class Fuel:
     budget: int
@@ -60,23 +56,6 @@ class Fuel:
     def __post_init__(self) -> None:
         if self.budget < 0:
             raise ValueError(f"fuel must be >= 0, got {self.budget}")
-
-
-def _as_fuel(fuel: Union[int, Fuel]) -> Fuel:
-    return fuel if isinstance(fuel, Fuel) else Fuel(fuel)
-
-
-@record
-class State:
-    fun: FunSig
-    values: tuple[int, ...]
-
-
-@record
-class Transition:
-    source: State
-    site: CallSiteId
-    target: State
 
 
 _PRIM_IMPL: dict[str, Callable[[int, int], int]] = {
@@ -334,46 +313,24 @@ def eval_program(
     An unknown function, negative arguments or a wrong argument count raise
     ValueError.
     """
-    fuel, values = _as_fuel(fuel), tuple(args)
+    if not isinstance(fuel, Fuel):
+        fuel = Fuel(fuel)
+    values = tuple(args)
     return _run(_Compiled(program).enter(fun, values), values, fuel, None)
-
-
-def trace_transitions(
-    program: Program,
-    state: State,
-    fuel: Union[int, Fuel],
-    max_len: Optional[int] = None,
-) -> list[Transition]:
-    """The call transitions taken while evaluating from state, in order.
-
-    The list is truncated at max_len or at fuel exhaustion.  A state of a
-    function the program lacks, with another signature, with the wrong number
-    of values or with negative values raises ValueError.
-    """
-    out: list[Transition] = []
-
-    def keep(source: FunSig, values: tuple, site: CallSiteId, target: FunSig, argv: tuple) -> None:
-        out.append(Transition(State(source, values), site, State(target, argv)))
-        if max_len is not None and len(out) >= max_len:
-            raise _TraceLimit()
-
-    fuel = _as_fuel(fuel)
-    fn = _Compiled(program).enter(state.fun.name, state.values)
-    if fn.sig != state.fun:
-        raise ValueError(f"state signature does not match the program's {state.fun.name}")
-    try:
-        _run(fn, state.values, fuel, keep)
-    except (OutOfFuel, _TraceLimit):
-        pass
-    return out
 
 
 @record
 class Violation:
+    """A call at site that breaks arc, seen as the caller's values and the call's.
+
+    The two signatures are those of the site's graph: ``description[site].source``
+    and ``.target``.
+    """
+
     site: CallSiteId
     arc: Arc
-    source: State
-    target: State
+    values: tuple[int, ...]
+    argv: tuple[int, ...]
 
 
 @mutable_record
@@ -420,7 +377,7 @@ def sample_safety(
         for s, t, strict, arc in arcs:
             u, v = values[s], argv[t]
             if u < v or strict and u == v:
-                violations.append(Violation(site, arc, State(source, values), State(target, argv)))
+                violations.append(Violation(site, arc, values, argv))
 
     compiled = _Compiled(program)
     for _ in range(trials):

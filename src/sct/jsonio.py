@@ -18,7 +18,8 @@ from typing import TYPE_CHECKING, Optional, Union
 
 from .graphs import FunSig, GraphSet, SizeChangeGraph, Verdict
 
-if TYPE_CHECKING:  # only annotations name it, so no subcommand loads the oracle for it
+if TYPE_CHECKING:  # only annotations name them, so no subcommand loads their modules for them
+    from .colorings import PairColoring
     from .oracle import OracleReport
 
 
@@ -98,15 +99,34 @@ def load_graph_set(data: dict) -> GraphSet:
     return _build("/graphs", GraphSet, tuple(by_name.values()), tuple(graphs), tuple(names))
 
 
-def load_graph_set_file(path: Union[str, Path]) -> GraphSet:
+def _load_file(path: Union[str, Path]):
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
             raise SchemaError("", f"invalid JSON: {exc}") from None
         except RecursionError:  # the decoder recurses once per nested array or object
             raise SchemaError("", "invalid JSON: nested too deeply") from None
-    return load_graph_set(data)
+
+
+def load_graph_set_file(path: Union[str, Path]) -> GraphSet:
+    return load_graph_set(_load_file(path))
+
+
+def load_pair_coloring_file(path: Union[str, Path]) -> PairColoring:
+    """{"k": k, "n": n, "rows": rows}: n - 1 rows, row i the colors of (i, i+1) .. (i, n-1)."""
+    from .colorings import PairColoring
+
+    data = _load_file(path)
+    k, n = _need(data, "k", int, ""), _need(data, "n", int, "")
+    rows = _need(data, "rows", list, "")
+    count = max(n - 1, 0)  # PairColoring rejects n < 1 itself
+    if len(rows) != count:
+        raise SchemaError("/rows", f"expected {count} rows for n = {n}, got {len(rows)}")
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != n - 1 - i:
+            raise SchemaError(f"/rows/{i}", f"expected an array of length {n - 1 - i}")
+    return _build("", PairColoring.from_function, k, n, lambda i, j: rows[i][j - i - 1])
 
 
 def graph_to_json(g: SizeChangeGraph, name: Optional[str] = None) -> dict:

@@ -20,7 +20,8 @@ from sct import (
 from sct.colorings import EPColoring
 from sct.extract import Description, Mode, extract_description
 from sct.fixtures import ackermann_program
-from sct.interp import Fuel, OutOfFuel, SafetyReport, State, Transition, Violation
+from sct import interp
+from sct.interp import Fuel, OutOfFuel, SafetyReport, Violation
 from sct.parser import ParseError
 from sct.record import record
 from sct.reduction import ReversalRun, _family_graph, family_signature, index_sets
@@ -267,11 +268,27 @@ def reference_closure(gs: GraphSet) -> list[tuple[SizeChangeGraph, tuple[int, ..
 REFERENCE_PRIMS = {"plus": operator.add, "times": operator.mul, "max": max, "min": min}
 
 
+def hook_transitions(program: Program, fun: str, values: tuple, budget: int) -> list[tuple]:
+    """The transitions the compiled walk's hook sees from fun on values, in order.
+
+    Each is (sig, values, label, callee sig, argv); the list stops where the
+    fuel runs out.
+    """
+    out: list[tuple] = []
+    try:
+        fn = interp._Compiled(program).enter(fun, values)
+        interp._run(fn, values, Fuel(budget), lambda *t: out.append(t))
+    except OutOfFuel:
+        pass
+    return out
+
+
 def reference_run(program: Program, fun: str, values: tuple, fuel: Fuel, on_transition=None) -> int:
     """Evaluate fun on values by walking the tree, one Python call per interpreted call.
 
     The plain reference for the compiled interpreter: fuel is spent on every
-    call entry, after on_transition has seen the call's `Transition`.
+    call entry, after on_transition has seen the call as the hook's
+    (sig, values, label, callee sig, argv).
     """
     defs = {d.sig.name: d for d in program.defs}
 
@@ -317,29 +334,19 @@ def reference_run(program: Program, fun: str, values: tuple, fuel: Fuel, on_tran
             case Call(f, args, label):
                 argv = tuple(expr(a, env, sig, values) for a in args)
                 if on_transition is not None:
-                    on_transition(Transition(State(sig, values), label, State(defs[f].sig, argv)))
+                    on_transition(sig, values, label, defs[f].sig, argv)
                 return call(f, argv)
         raise TypeError(e)
 
     return call(fun, tuple(values))
 
 
-class _Enough(Exception):
-    pass
-
-
-def reference_trace(program: Program, state: State, fuel: Fuel, max_len=None) -> list[Transition]:
-    """`trace_transitions` by `reference_run`."""
-    out: list[Transition] = []
-
-    def keep(tr: Transition) -> None:
-        out.append(tr)
-        if max_len is not None and len(out) >= max_len:
-            raise _Enough()
-
+def reference_trace(program: Program, fun: str, values: tuple, fuel: Fuel) -> list[tuple]:
+    """`hook_transitions` by `reference_run`."""
+    out: list[tuple] = []
     try:
-        reference_run(program, state.fun.name, state.values, fuel, keep)
-    except (OutOfFuel, _Enough):
+        reference_run(program, fun, values, fuel, lambda *t: out.append(t))
+    except OutOfFuel:
         pass
     return out
 
@@ -351,17 +358,17 @@ def reference_safety(program: Program, description, trials, value_bound, fuel, s
     for _ in range(trials):
         d = rng.choice(program.defs)
         values = tuple(rng.randint(0, value_bound) for _ in d.sig.params)
-        transitions: list[Transition] = []
+        transitions: list[tuple] = []
         try:
-            reference_run(program, d.sig.name, values, Fuel(fuel), transitions.append)
+            reference_run(program, d.sig.name, values, Fuel(fuel), lambda *t: transitions.append(t))
             report.converged += 1
         except OutOfFuel:
             report.skipped += 1
-        for tr in transitions:
-            for arc in description[tr.site].arcs:
-                u, v = tr.source.values[arc.src], tr.target.values[arc.tgt]
+        for _, source_values, site, _, argv in transitions:
+            for arc in description[site].arcs:
+                u, v = source_values[arc.src], argv[arc.tgt]
                 if not (u > v if arc.kind is ArcKind.STRICT else u >= v):
-                    report.violations.append(Violation(tr.site, arc, tr.source, tr.target))
+                    report.violations.append(Violation(site, arc, source_values, argv))
     return report
 
 

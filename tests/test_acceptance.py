@@ -16,7 +16,6 @@ from sct import (
     FunSig,
     LassoMultipath,
     SizeChangeGraph,
-    State,
     check_sct_criterion,
     closure,
     compose,
@@ -26,12 +25,11 @@ from sct import (
     idempotent_power,
     sample_safety,
     synthesize,
-    trace_transitions,
 )
 from sct.colorings import PairColoring, pair_coloring_from_lasso, spp_witness, star_search
 from sct.extract import Mode, extract_description
 from sct.fixtures import ackermann_graph_set, ackermann_program
-from sct.interp import OutOfFuel
+from sct.interp import Fuel, OutOfFuel
 from sct.oracle import bounded_lasso_oracle
 from sct.reduction import build_reversal_multipath, index_sets, spp_reduction_family, warmup_family
 from test_reduction import all_colorings, random_coloring, recurring_and_active
@@ -147,9 +145,10 @@ def test_c6_interpreter_values_and_fuel():
 
         assert eval_program(program, "A", (2, 2), 10**6) == 7 == oracle(2, 2)
         assert eval_program(program, "A", (3, 3), 10**6) == 61 == oracle(3, 3)
-        sig = program.defs[0].sig
         for values in [(1, 3), (2, 2), (2, 3), (3, 2)]:
-            needed = len(trace_transitions(program, State(sig, values), 10**6)) + 1
+            fuel = Fuel(10**6)
+            eval_program(program, "A", values, fuel)
+            needed = 10**6 - fuel.budget
             expected = oracle(*values)
             with pytest.raises(OutOfFuel):
                 eval_program(program, "A", values, needed - 1)
@@ -188,11 +187,11 @@ def test_c8_family_termination():
         for k in (1, 2, 3, 4):
             fam = spp_reduction_family(k)
             cl = closure(fam)
-            assert all(dg.graph.has_strict_self_arc() for dg in cl.elements)
+            assert all(dg.graph.strict_self_params() for dg in cl.elements)
             assert check_sct_criterion(fam, cl).sct
         warm = warmup_family()
         cl = closure(warm)
-        assert all(dg.graph.has_strict_self_arc() for dg in cl.elements)
+        assert all(dg.graph.strict_self_params() for dg in cl.elements)
         assert check_sct_criterion(warm, cl).sct
 
 
@@ -209,4 +208,4 @@ def test_c9_star_instances():
             assert star is not None
             graph = palette[star.color]
             assert compose(graph, graph) == graph
-            assert graph.has_strict_self_arc()
+            assert graph.strict_self_params()

@@ -110,4 +110,4 @@ class TestInducedStar:
         assert witness is not None
         graph = palette[witness.color]
         assert compose(graph, graph) == graph
-        assert graph.has_strict_self_arc()
+        assert graph.strict_self_params()

@@ -277,16 +277,29 @@ BAD_PAIR_COLORINGS = {
     "float-color": '{"k": 2, "n": 4, "rows": [[0, 0, 1.5], [0, 1.5], [1.5]]}',
     # the decoder recurses once per nested array and once exited 3
     "nested": "[" * 100_000 + "]" * 100_000,
+    # a row longer than n allows, and an extra row, were once read without complaint
+    "long-row": '{"k": 2, "n": 3, "rows": [[0, 1, 1, 1], [0]]}',
+    "extra-row": '{"k": 2, "n": 3, "rows": [[0, 1], [0], [5]]}',
+    # a top-level array once printed Python's own TypeError message
+    "array": "[[0, 1], [0]]",
+    "not-utf8": b'{"k": 2, "n": 2, "rows": [[0]], "\xff": 0}',
 }
+# files that cannot be read at all: "cannot read PATH: reason"
+UNREADABLE = ("directory", "missing")
 
 
-@pytest.mark.parametrize("name", sorted(BAD_PAIR_COLORINGS))
+@pytest.mark.parametrize("name", sorted(BAD_PAIR_COLORINGS) + list(UNREADABLE))
 def test_bad_pair_coloring_file_exits_2(workdir, name):
     path = workdir / f"{name}.json"
-    path.write_text(BAD_PAIR_COLORINGS[name], encoding="utf-8")
+    if name == "directory":
+        path.mkdir()
+    elif name != "missing":
+        content = BAD_PAIR_COLORINGS[name]
+        path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(["principles", "star", "--n", "4", "--pattern", "file", "--file", str(path)])
     assert (code, out.getvalue()) == (2, "")
     lines = err.getvalue().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: bad pair-coloring file: ")
+    prefix = f"error: cannot read {path}: " if name in UNREADABLE else f"error: {path}: "
+    assert len(lines) == 1 and lines[0].startswith(prefix)

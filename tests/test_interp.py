@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     corrupted_ackermann_description,
+    hook_transitions,
     random_functional_graph_set,
     reference_run,
     reference_safety,
@@ -13,14 +14,11 @@ from helpers import (
 from sct import (
     Arc,
     ArcKind,
-    FunSig,
     OutOfFuel,
-    State,
     eval_program,
     parse_program,
     sample_safety,
     synthesize,
-    trace_transitions,
 )
 from sct.extract import Mode, extract_description
 from sct.interp import Fuel
@@ -111,10 +109,10 @@ class TestEval:
         assert runs == {9}
 
     def test_fuel_monotonicity_sampled(self, ackermann):
-        sig = ackermann.defs[0].sig
         for values in [(0, 3), (1, 2), (2, 2), (3, 1)]:
-            trace = trace_transitions(ackermann, State(sig, values), 10**6)
-            needed = len(trace) + 1  # one spend per call entry
+            fuel = Fuel(10**6)
+            eval_program(ackermann, "A", values, fuel)
+            needed = 10**6 - fuel.budget  # one spend per call entry
             expected = ack_oracle(*values)
             with pytest.raises(OutOfFuel):
                 eval_program(ackermann, "A", values, needed - 1)
@@ -123,52 +121,40 @@ class TestEval:
 
 
 class TestTrace:
+    """The transitions the compiled walk's hook sees: (sig, values, label, callee sig, argv)."""
+
     def test_first_transition_base_row(self, ackermann):
         sig = ackermann.defs[0].sig
-        trace = trace_transitions(ackermann, State(sig, (1, 0)), 10**6)
-        assert trace[0].site == 0
-        assert trace[0].target.values == (0, 1)
+        trace = hook_transitions(ackermann, "A", (1, 0), 10**6)
+        assert trace[0] == (sig, (1, 0), 0, sig, (0, 1))
 
     def test_inner_call_first(self, ackermann):
         sig = ackermann.defs[0].sig
-        trace = trace_transitions(ackermann, State(sig, (1, 1)), 10**6)
-        assert trace[0].site == 2
-        assert trace[0].target.values == (1, 0)
+        trace = hook_transitions(ackermann, "A", (1, 1), 10**6)
+        assert trace[0] == (sig, (1, 1), 2, sig, (1, 0))
 
     def test_call_free_branch(self, ackermann):
-        sig = ackermann.defs[0].sig
-        assert trace_transitions(ackermann, State(sig, (0, 5)), 10**6) == []
-
-    def test_truncation(self, ackermann):
-        sig = ackermann.defs[0].sig
-        trace = trace_transitions(ackermann, State(sig, (3, 3)), 10**6, max_len=10)
-        assert len(trace) == 10
+        assert hook_transitions(ackermann, "A", (0, 5), 10**6) == []
 
     def test_fuel_exhaustion_truncates(self):
         p = parse_program("loop(n) = loop(n+1)")
-        trace = trace_transitions(p, State(p.defs[0].sig, (0,)), 25)
+        trace = hook_transitions(p, "loop", (0,), 25)
         # a transition exists once its argument values do, even if entering
         # the callee then runs out of fuel
         assert len(trace) == 25
-        assert [t.target.values[0] for t in trace] == list(range(1, 26))
+        assert [argv[0] for *_, argv in trace] == list(range(1, 26))
 
     def test_unknown_function(self, ackermann):
         with pytest.raises(ValueError, match="no function named 'B'"):
-            trace_transitions(ackermann, State(FunSig("B", ("x", "y")), (1, 1)), 10)
-
-    def test_other_signature(self, ackermann):
-        with pytest.raises(ValueError, match="signature does not match"):
-            trace_transitions(ackermann, State(FunSig("A", ("m", "n")), (1, 1)), 10)
+            hook_transitions(ackermann, "B", (1, 1), 10)
 
     def test_wrong_length(self, ackermann):
-        state = State(ackermann.defs[0].sig, (1,))
         with pytest.raises(ValueError, match=r"^A takes 2 argument\(s\), got 1$"):
-            trace_transitions(ackermann, state, 10)
+            hook_transitions(ackermann, "A", (1,), 10)
 
     def test_negative_value(self, ackermann):
-        sig = ackermann.defs[0].sig
         with pytest.raises(ValueError, match="natural numbers"):
-            trace_transitions(ackermann, State(sig, (-1, 2)), 10)
+            hook_transitions(ackermann, "A", (-1, 2), 10)
 
 
 class TestSafety:
@@ -189,7 +175,7 @@ class TestSafety:
         assert v.site == 0
         assert v.arc == Arc(1, ArcKind.STRICT, 1)
         # the bogus arc claims y shrinks, but the first call resets y to 1
-        assert v.source.values[v.arc.src] <= v.target.values[v.arc.tgt]
+        assert v.values[v.arc.src] <= v.argv[v.arc.tgt]
 
     def test_call_free_program(self):
         p = parse_program("f(x) = x+1")
@@ -241,18 +227,15 @@ def compiled_outcome(program, fun, values, budget):
 
 
 def assert_agrees(program, fun, values, cap):
-    """Equal values, fuel left and traces at every budget up to what the run needs."""
+    """Equal values, fuel left and transitions at every budget up to what the run needs."""
     _, left = reference_outcome(program, fun, values, cap)
-    state = State(next(d.sig for d in program.defs if d.sig.name == fun), values)
     for budget in range(cap - left + 1):
         expected = reference_outcome(program, fun, values, budget)
         assert compiled_outcome(program, fun, values, budget) == expected, (values, budget)
-        trace = trace_transitions(program, state, budget)
-        assert trace == reference_trace(program, state, Fuel(budget)), (values, budget)
-    full = reference_trace(program, state, Fuel(cap))
-    assert trace_transitions(program, state, cap) == full
-    for max_len in (1, len(full) // 2 + 1):
-        assert trace_transitions(program, state, cap, max_len) == full[:max_len]
+        trace = hook_transitions(program, fun, values, budget)
+        assert trace == reference_trace(program, fun, values, Fuel(budget)), (values, budget)
+    full = reference_trace(program, fun, values, Fuel(cap))
+    assert hook_transitions(program, fun, values, cap) == full
 
 
 def synthesized(seed):
@@ -318,7 +301,7 @@ class TestDepth:
         assert sys.getrecursionlimit() == limit
 
     def test_deep_trace(self, ackermann):
-        sig = ackermann.defs[0].sig
-        trace = trace_transitions(ackermann, State(sig, (2, 100)), 10**6)
+        fuel = Fuel(10**6)
+        eval_program(ackermann, "A", (2, 100), fuel)
         n = 100
-        assert len(trace) + 1 == 2 * n**2 + 7 * n + 5  # the calls A(2, n) makes
+        assert 10**6 - fuel.budget == 2 * n**2 + 7 * n + 5  # the calls A(2, n) makes

@@ -34,7 +34,7 @@ def reference_oracle(gs, max_len):
                 continue
             checked += 1
             stable, _ = idempotent_power(reduce(compose, graphs))
-            if not stable.has_strict_self_arc():
+            if not stable.strict_self_params():
                 return OracleReport(LassoMultipath((), word), max_len, checked)
     return OracleReport(None, max_len, checked)
 
@@ -54,7 +54,7 @@ def square_graph(sig, cells):
 
 
 def idempotent_descends(g):
-    return idempotent_power(g)[0].has_strict_self_arc()
+    return bool(idempotent_power(g)[0].strict_self_params())
 
 
 class TestStrictCycle:

@@ -14,7 +14,6 @@ import sct
 from sct import colorings, extract, graphs, interp, oracle, parser, record, reduction, syntax
 from sct.fixtures import ACKERMANN_SOURCE, ackermann_graph_set
 from sct.graphs import Arc, ArcKind, FunSig, GraphSet, LassoMultipath, SizeChangeGraph
-from sct.interp import State
 from sct.jsonio import dumps, graph_set_to_json
 from sct.syntax import And, EqConst, Le, Lt, Not, Or
 
@@ -152,7 +151,6 @@ SIG = FunSig("f", ("x", "y"))
 GRAPH = SizeChangeGraph(SIG, SIG, (Arc(0, ArcKind.STRICT, 0),))
 GS = GraphSet((SIG,), (GRAPH,), ("g0",))
 LASSO = LassoMultipath((0,), (0,))
-STATE = State(SIG, (2, 1))
 COND = And(EqConst("x", 0), Or(Lt("x", "y"), Not(Le("y", "x"))))
 
 # one instance's fields per record class
@@ -180,9 +178,7 @@ SAMPLES = {
     graphs.DescentWitness: ((0,), 1, 2),
     graphs.Verdict: (False, None, LASSO),
     interp.Fuel: (7,),
-    State: (SIG, (0, 4)),
-    interp.Transition: (STATE, 0, State(SIG, (1, 1))),
-    interp.Violation: (0, Arc(0, ArcKind.STRICT, 0), STATE, STATE),
+    interp.Violation: (0, Arc(0, ArcKind.STRICT, 0), (2, 1), (1, 1)),
     interp.SafetyReport: ([], 3, 1),
     oracle.OracleReport: (LASSO, 4, 10),
     parser.Diagnostic: ("unknown parameter 'z'", 1, 9),

@@ -172,7 +172,7 @@ class TestFamily:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_every_closure_element_descends(self, k):
         cl = closure(spp_reduction_family(k))
-        assert all(dg.graph.has_strict_self_arc() for dg in cl.elements)
+        assert all(dg.graph.strict_self_params() for dg in cl.elements)
         assert check_sct_criterion(spp_reduction_family(k), cl).sct
 
     def test_materialization_cap(self):
@@ -207,7 +207,7 @@ class TestFamily:
     def test_warmup_family_descends_everywhere(self):
         fam = warmup_family()
         cl = closure(fam)
-        assert all(dg.graph.has_strict_self_arc() for dg in cl.elements)
+        assert all(dg.graph.strict_self_params() for dg in cl.elements)
         assert check_sct_criterion(fam, cl).sct
 
 
