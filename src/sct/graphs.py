@@ -9,6 +9,7 @@ by inspecting the idempotent elements of that semigroup.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -198,6 +199,30 @@ def _product(rows0: Sequence[int], rows1: Sequence[int], m: int, n: int) -> tupl
     return tuple(out)
 
 
+def _is_idempotent(rows: Sequence[int], n: int) -> bool:
+    """Whether the endo-graph with these rows (on n parameters) equals its square.
+
+    The square is built one row at a time, as ``_product(rows, rows, n, n)``
+    builds it, and the test stops at the first row that differs from ``rows``.
+    It is kept apart from ``_product`` so the shared kernel has no early exit
+    to test on behalf of one caller.
+    """
+    low = (1 << n) - 1
+    for r in rows:
+        acc = strict = 0
+        reach, strict_reach = r & low, r >> n
+        while reach:
+            bit = reach & -reach
+            row = rows[bit.bit_length() - 1]
+            acc |= row
+            if strict_reach & bit:
+                strict |= row
+            reach ^= bit
+        if acc | (strict & low) << n != r:
+            return False
+    return True
+
+
 def _has_strict_diagonal(rows: Sequence[int], n: int) -> bool:
     """Whether some row i has its strict bit for target i (targets of arity n)."""
     for i, r in enumerate(rows):
@@ -265,15 +290,17 @@ def idempotent_power(g: SizeChangeGraph) -> tuple[SizeChangeGraph, int]:
     The cyclic semigroup generated by g has at most 3**(arity**2) elements,
     so the least idempotent exponent is bounded by that count.  The bound is
     computed only once the exponent passes arity**2, as at a large arity
-    the power alone costs seconds.
+    the power alone costs seconds.  Each power is tested by ``_is_idempotent``,
+    the criterion's test, which stops at the first row its square changes.
     """
     if g.source != g.target:
         raise CompositionError("only graphs with equal source and target have powers")
-    limit = g.source.arity ** 2  # replaced by the bound once passed
+    n = g.source.arity
+    limit = n ** 2  # replaced by the bound once passed
     power, exponent = g, 1
-    while compose(power, power) != power:
+    while not _is_idempotent(power.rows, n):
         if exponent >= limit:
-            bound = 3 ** (g.source.arity ** 2)
+            bound = 3 ** (n ** 2)
             if exponent >= bound:
                 raise AssertionError("no idempotent power within the semigroup bound")
             limit = bound
@@ -400,35 +427,42 @@ def closure(gs: GraphSet) -> Closure:
     Breadth-first extension by base graphs visits candidate words in shortlex
     order, so each element carries the shortlex-least witness among the
     derivations the fixpoint discovers, and the result is deterministic.
-    Candidates are told apart by (source index, target index, rows), and an
-    element is kept as that key, its parent's index and its last base graph;
-    no graph object is built.  Every right factor is a base graph, so an
-    element reaches all its successors through the fan-out map of its target
-    signature: one lookup per row.
+    Candidates are told apart by (source index, target index, rows), kept
+    as one set of rows per (source, target), so a candidate is tested by its
+    rows alone.  An element is kept as its key, its parent's index and its
+    last base graph; no graph object is built.  Every right factor is a base
+    graph, so an element reaches all its successors through the fan-out map
+    of its target signature, one lookup per row, and through the successor
+    list of its (source, target) pair, made on first use: each base graph
+    that can follow, with its target and the set its products go into.
     """
     index = {sig: k for k, sig in enumerate(gs.sigs)}
     bases = [(j, index[g.source], index[g.target], g.rows) for j, g in enumerate(gs.graphs)]
-    fans = _fan_outs(gs.sigs, bases)
-    seen: set[tuple[int, int, tuple[int, ...]]] = set()
+    # per middle signature: its successor lists by source index, made on first
+    # use, the (base index, target index) pairs leaving it, and its fan-out
+    after = [({}, leaving, fan) for leaving, fan in _fan_outs(gs.sigs, bases)]
+    seen: defaultdict[tuple[int, int], set[tuple[int, ...]]] = defaultdict(set)
     keys: list[tuple[int, int, tuple[int, ...]]] = []
     parents: list[int] = []
     lasts: list[int] = []
     for j, src, tgt, rows in bases:
-        key = (src, tgt, rows)
-        if key not in seen:
-            seen.add(key)
-            keys.append(key)
+        found = seen[src, tgt]
+        if rows not in found:
+            found.add(rows)
+            keys.append((src, tgt, rows))
             parents.append(-1)
             lasts.append(j)
-    add, push_key, push_parent, push_last = seen.add, keys.append, parents.append, lasts.append
+    push_key, push_parent, push_last = keys.append, parents.append, lasts.append
     # keys doubles as the queue: it is walked while it grows
     for i, (src, mid, left) in enumerate(keys):
-        succ, fan = fans[mid]
-        for (j, tgt), rows in zip(succ, zip(*map(fan, left))):
-            key = (src, tgt, rows)
-            if key not in seen:
-                add(key)
-                push_key(key)
+        lists, leaving, fan = after[mid]
+        succ = lists.get(src)
+        if succ is None:
+            succ = lists[src] = [(j, tgt, seen[src, tgt]) for j, tgt in leaving]
+        for (j, tgt, found), rows in zip(succ, zip(*map(fan, left))):
+            if rows not in found:
+                found.add(rows)
+                push_key((src, tgt, rows))
                 push_parent(i)
                 push_last(j)
     return Closure(gs, keys, parents, lasts)
@@ -511,7 +545,13 @@ def decide_periodic_descent(
 
 
 def check_sct_criterion(gs: GraphSet, cl: Optional[Closure] = None) -> Verdict:
-    """Terminating iff every idempotent in the closure has a strict self-arc."""
+    """Terminating iff every idempotent in the closure has a strict self-arc.
+
+    Each endo-element is decided on its key: first the strict diagonal, read
+    from the rows, then, only without one, ``_is_idempotent``, which stops at
+    the first row of the square that differs.  Only the first failing
+    idempotent is built as a graph.
+    """
     if cl is None:
         cl = closure(gs)
     arity = [sig.arity for sig in cl.gs.sigs]
@@ -519,7 +559,7 @@ def check_sct_criterion(gs: GraphSet, cl: Optional[Closure] = None) -> Verdict:
         if src != tgt:
             continue
         n = arity[src]
-        if not _has_strict_diagonal(rows, n) and _product(rows, rows, n, n) == rows:
+        if not _has_strict_diagonal(rows, n) and _is_idempotent(rows, n):
             dg = cl.element(k)
             lasso = LassoMultipath((), dg.witness)
             # a failing idempotent must also be descent-free as a lasso

@@ -205,6 +205,42 @@ class TestKernel:
                 wide += max(map(int.bit_length, g0.rows + g1.rows + packed.rows)) > 128
         assert wide > 80
 
+    def test_idempotence_matches_square(self):
+        """The early-exit test against ``compose(p, p) == p``: random endo-graphs,
+        dense on up to 6 parameters and sparse on up to 70, each with its powers
+        up to arity**2 (so idempotents are met), and the empty graph."""
+        rng = random.Random(23)
+        idempotents = wide = 0
+        for max_arity, trials, draw in ((6, 300, random_graph), (70, 100, random_sparse_graph)):
+            for _ in range(trials):
+                (f,) = random_sigs(rng, 1, max_arity)
+                g = draw(rng, f, f)
+                p, powers = g, set()
+                # a power met before starts the cycle again: no new case after it
+                while len(powers) < f.arity ** 2 and p.rows not in powers:
+                    powers.add(p.rows)
+                    squared = compose(p, p) == p
+                    assert sct.graphs._is_idempotent(p.rows, f.arity) == squared
+                    idempotents += squared
+                    wide += max(p.rows).bit_length() > 128
+                    p = compose(p, g)
+        empty = SizeChangeGraph(sig(), sig(), ())
+        assert sct.graphs._is_idempotent(empty.rows, 2)
+        assert idempotents > 100
+        assert wide > 100
+
+    def test_equal_rows_under_other_endpoints_stay_apart(self):
+        """f->g and g->f with the same rows close to four elements, not one."""
+        f, g = sig("f"), sig("g")
+        arcs = (Arc(0, ArcKind.STRICT, 0), Arc(1, ArcKind.NONSTRICT, 1))
+        gs = GraphSet.of([SizeChangeGraph(f, g, arcs), SizeChangeGraph(g, f, arcs)])
+        cl = closure(gs)
+        assert len({rows for _, _, rows in cl.keys}) == 1
+        assert [(dg.graph.source, dg.graph.target, dg.witness) for dg in cl.elements] == [
+            (f, g, (0,)), (g, f, (1,)), (f, f, (0, 1)), (g, g, (1, 0))
+        ]
+        self.assert_closure_matches_reference(gs)
+
     @staticmethod
     def assert_closure_matches_reference(gs):
         got = [(g.source, g.target, g.arcs, w) for g, w in reference_closure(gs)]
