@@ -1,8 +1,17 @@
 """Fueled call-by-value evaluation over the naturals, with sampled safety checking.
 
-Fuel is spent once per function-call entry, so a fuel budget bounds the
-number of state transitions.  It is the only bound: calls run on an explicit
-list of frames, not on Python's stack.  x-1 is monus: 0-1 = 0.
+Fuel counts charged entries: every function-call entry is charged one unit,
+so a fuel budget bounds the number of state transitions.  It is the only
+bound: calls run on an explicit list of frames, not on Python's stack.  x-1
+is monus: 0-1 = 0.
+
+A run without a hook keeps, for its own length, the value and the fuel of
+each non-tail call that returned after costing more than one entry.  The same
+call again reuses its value and is charged its fuel again, without being
+entered, so values, OutOfFuel and the fuel left are those of entering every
+call.  The table holds at most one entry per call entered.  Tail calls are
+never kept, as a repeated tail state never returns.  A hooked run, as
+sample_safety makes, reuses nothing and observes every transition.
 
 Each function is compiled on its first entry.  Its else-if chain becomes a
 chain of condition closures over the argument tuple, with parameters resolved
@@ -18,7 +27,8 @@ to indices, that selects a leaf:
 from __future__ import annotations
 
 import random
-from operator import itemgetter
+from collections import defaultdict
+from operator import add, itemgetter, mul
 from typing import Callable, Optional, Union
 
 from .graphs import Arc, ArcKind, FunSig
@@ -59,8 +69,8 @@ class Fuel:
 
 
 _PRIM_IMPL: dict[str, Callable[[int, int], int]] = {
-    "plus": lambda a, b: a + b,
-    "times": lambda a, b: a * b,
+    "plus": add,
+    "times": mul,
     "max": max,
     "min": min,
 }
@@ -69,7 +79,7 @@ _PRIM_IMPL: dict[str, Callable[[int, int], int]] = {
 _VALUE, _TAIL, _CODE = 0, 1, 2
 # postfix instructions, each (op, x, label, k):
 #   _PUSH      push x(args)
-#   _PRIM      replace the top k values by x applied to them
+#   _PRIM      replace the top two values by x applied to them
 #   _CALL_ARGS call x on k(args), saving the frame
 #   _CALL      call x on the top k values, saving the frame
 #   _TAIL_CALL call x on every value left, in place of the frame
@@ -217,7 +227,7 @@ class _Compiled:
         else:  # a PrimOp with a call among its arguments
             for a in e.args:
                 self._emit(a, index, code)
-            code.append((_PRIM, _PRIM_IMPL[e.op], None, len(e.args)))
+            code.append((_PRIM, _PRIM_IMPL[e.op], None, None))
 
     def _args(self, args: tuple[Expr, ...], index: dict[str, int]) -> Callable[[tuple], tuple]:
         return _tuple_of([self._value(a, index) for a in args])
@@ -244,11 +254,19 @@ class _Compiled:
 def _run(fn: _Fun, args: tuple, fuel: Fuel, hook: Optional[_Hook]) -> int:
     """Enter fn on args and run until it returns.
 
-    A frame is (function, arguments, code, next instruction, value stack).
-    Fuel is spent on every entry, after the hook has seen the transition.
+    A frame is (function, arguments, code, next instruction, value stack,
+    then the callee's table, the call's arguments and the budget before the
+    call).  Fuel is charged on every entry, after the hook has seen the
+    transition.  Without a hook, a saved call that returns after costing
+    more than one entry goes into its callee's table; the same call again
+    pushes the value and is charged the cost, or takes the budget left and
+    raises OutOfFuel when the cost is more.
     """
     budget = fuel.budget
     frames: list[tuple] = []
+    # callee -> arguments -> (value, cost) for this run; a hooked run keeps none
+    done: defaultdict[_Fun, dict[tuple, tuple[int, int]]] = defaultdict(dict)
+    keep = hook is None
     try:
         if budget <= 0:
             raise OutOfFuel()
@@ -264,7 +282,9 @@ def _run(fn: _Fun, args: tuple, fuel: Fuel, hook: Optional[_Hook]) -> int:
                     value = leaf[1](args)
                     if not frames:
                         return value
-                    fn, args, code, pc, stack = frames.pop()
+                    fn, args, code, pc, stack, table, called, before = frames.pop()
+                    if keep and before - budget > 1:
+                        table[called] = value, before - budget
                     stack.append(value)
                 else:
                     code, pc, stack = leaf[1], 0, []
@@ -273,28 +293,41 @@ def _run(fn: _Fun, args: tuple, fuel: Fuel, hook: Optional[_Hook]) -> int:
                     pc += 1
                     if op == _PUSH:
                         stack.append(x(args))
-                    elif op == _CALL_ARGS:
-                        callee, argv = x, k(args)
-                        frames.append((fn, args, code, pc, stack))
-                        break
+                        continue
+                    if op == _CALL_ARGS:
+                        argv = k(args)
+                    elif op == _CALL:
+                        argv = tuple(stack[-k:])
+                        del stack[-k:]
                     elif op == _TAIL_CALL:
                         callee, argv = x, tuple(stack)
                         break
-                    elif op == _CALL:
-                        callee, argv = x, tuple(stack[-k:])
-                        del stack[-k:]
-                        frames.append((fn, args, code, pc, stack))
-                        break
                     elif op == _PRIM:
-                        operands = stack[-k:]
-                        del stack[-k:]
-                        stack.append(x(*operands))
+                        right = stack.pop()
+                        stack[-1] = x(stack[-1], right)
+                        continue
                     else:  # _RETURN
                         value = stack[0]
                         if not frames:
                             return value
-                        fn, args, code, pc, stack = frames.pop()
+                        fn, args, code, pc, stack, table, called, before = frames.pop()
+                        if keep and before - budget > 1:
+                            table[called] = value, before - budget
                         stack.append(value)
+                        continue
+                    # a call that saves the frame, unless it has returned before
+                    table = done[x]
+                    found = table.get(argv)
+                    if found is None:
+                        callee = x
+                        frames.append((fn, args, code, pc, stack, table, argv, budget))
+                        break
+                    value, cost = found
+                    if cost > budget:
+                        budget = 0
+                        raise OutOfFuel()
+                    budget -= cost
+                    stack.append(value)
             if hook is not None:
                 hook(fn.sig, args, label, callee.sig, argv)
             if budget <= 0:
@@ -310,8 +343,11 @@ def eval_program(
 ) -> int:
     """Evaluate fun on args; raises OutOfFuel when the budget runs out.
 
-    An unknown function, negative arguments or a wrong argument count raise
-    ValueError.
+    Each call entered is charged one unit of fuel.  A non-tail call made
+    again after it returned reuses its value and is charged its fuel again,
+    so the value, OutOfFuel and the fuel left are those of entering every
+    call.  An unknown function, negative arguments or a wrong argument count
+    raise ValueError.
     """
     if not isinstance(fuel, Fuel):
         fuel = Fuel(fuel)

@@ -12,6 +12,7 @@ Schema violations are reported with JSON-pointer paths.
 from __future__ import annotations
 
 import json
+import sys
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
@@ -107,6 +108,9 @@ def _load_file(path: Union[str, Path]):
             raise SchemaError("", f"invalid JSON: {exc}") from None
         except RecursionError:  # the decoder recurses once per nested array or object
             raise SchemaError("", "invalid JSON: nested too deeply") from None
+        except ValueError:  # int() refuses a number past its digit limit, which stays in force
+            limit = sys.get_int_max_str_digits()
+            raise SchemaError("", f"invalid JSON: a number has more than {limit} digits") from None
 
 
 def load_graph_set_file(path: Union[str, Path]) -> GraphSet:
@@ -195,6 +199,17 @@ def dumps(data: dict) -> str:
     return "".join(parts)
 
 
+def _long_int_text(n: int, width: int = 0) -> str:
+    """n in decimal, zero-padded to width, in halves short enough for str()."""
+    if n < 0:
+        return "-" + _long_int_text(-n)
+    if n.bit_length() <= 8192:  # at most 2,467 digits
+        return str(n).zfill(width)
+    half = n.bit_length() * 3 // 20  # about half of n's digits: log10(2) > 3/10
+    high, low = divmod(n, 10**half)
+    return _long_int_text(high, width - half) + _long_int_text(low, half)
+
+
 def _write(value, newline: str, put) -> None:
     """Put the indent-2 text of value, whose line breaks are followed by newline's indent."""
     if isinstance(value, str):
@@ -206,7 +221,10 @@ def _write(value, newline: str, put) -> None:
     elif value is False:
         put("false")
     elif isinstance(value, int):
-        put(int.__repr__(value))
+        try:
+            put(int.__repr__(value))
+        except ValueError:  # past the digit limit of int-to-str conversion
+            put(_long_int_text(value))
     elif isinstance(value, (list, tuple)):
         if not value:
             put("[]")

@@ -14,6 +14,7 @@ extraction (sct.extract) reads the call sites from the finished tree.
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_left
 
 from .graphs import FunSig
@@ -182,6 +183,14 @@ class _Parser:
         if self.peak > MAX_NESTING:
             raise self.error(f"nested deeper than {MAX_NESTING} levels", tok[2])
 
+    def number(self, tok: _Lexeme) -> int:
+        """The value of a number token, which int() converts only up to its digit limit."""
+        try:
+            return int(tok[1])
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise self.error(f"number has more than {limit} digits", tok[2]) from None
+
     # -- grammar
 
     def program(self) -> Program:
@@ -278,8 +287,7 @@ class _Parser:
         op = self.peek()
         if op[0] == "=":
             self.advance()
-            lit = self.expect("number", "a literal")
-            return EqConst(name, int(lit[1]))
+            return EqConst(name, self.number(self.expect("number", "a literal")))
         if op[0] in ("<", "<="):
             self.advance()
             right_tok = self.peek()
@@ -292,7 +300,7 @@ class _Parser:
         tok = self.peek()
         if tok[0] == "number":
             self.advance()
-            return Const(int(tok[1]))
+            return Const(self.number(tok))
         ident = self.expect("ident", "an expression")
         name = ident[1]
         nxt = self.peek()[0]

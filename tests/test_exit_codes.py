@@ -9,6 +9,7 @@ import copy
 import io
 import json
 import pickle
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -19,7 +20,7 @@ from helpers import FUNS, PARAMS, program_text, reference_guard_paths
 from sct import SourceError, parse_program, spp_reduction_family, synthesize
 from sct.cli import main
 from sct.extract import Mode, extract_description
-from sct.parser import MAX_NESTING
+from sct.parser import MAX_NESTING, ParseError
 from sct.syntax import format_program
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=150)
@@ -303,3 +304,62 @@ def test_bad_pair_coloring_file_exits_2(workdir, name):
     lines = err.getvalue().splitlines()
     prefix = f"error: cannot read {path}: " if name in UNREADABLE else f"error: {path}: "
     assert len(lines) == 1 and lines[0].startswith(prefix)
+
+
+# --- numbers past int()'s digit limit -------------------------------------------
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_run_prints_a_value_past_the_digit_limit(workdir):
+    # f(14) = 2^(2^14), 4,933 digits; each repeated call is reused, so the run is short
+    path = workdir / "square.sct"
+    path.write_text("f(x) = if x=0 then 2 else times(f(x-1), f(x-1))", encoding="utf-8")
+    code, out, err = run_main(["run", str(path), "f", "14"])
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        digits = str(2 ** 2**14)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(digits) > limit
+    assert (code, err) == (0, "")
+    assert out == (
+        '{\n  "function": "f",\n  "args": [\n    14\n  ],\n  "fuel": 1000000,\n'
+        f'  "value": {digits}\n}}\n'
+    )
+
+
+@pytest.mark.parametrize("text, col", [("f(x) = {}", 8), ("f(x) = if x={} then 1 else 0", 13)])
+def test_program_literal_past_the_digit_limit(workdir, text, col):
+    text = "# a long literal\n" + text.format("9" * 5000)
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ParseError) as info:
+        parse_program(text)
+    assert (info.value.line, info.value.col) == (2, col)
+    path = workdir / "literal.sct"
+    path.write_text(text, encoding="utf-8")
+    assert run_main(["analyze", str(path)]) == \
+        (2, "", f"error: {path}: 2:{col}: number has more than {limit} digits\n")
+
+
+# each command that reads JSON, with {} for the file
+JSON_INPUTS = {
+    "graphs-check": ["graphs", "check", "{}"],
+    "synth": ["synth", "{}"],
+    "oracle": ["oracle", "{}", "--max-word-len", "2"],
+    "star": ["principles", "star", "--n", "2", "--pattern", "file", "--file", "{}"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_INPUTS))
+def test_json_number_past_the_digit_limit(workdir, name):
+    path = workdir / "long-number.json"
+    path.write_text('{"k": 2, "n": 2, "rows": [[' + "1" * 5000 + "]]}", encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    message = f"error: {path}: /: invalid JSON: a number has more than {limit} digits\n"
+    assert run_main([arg.format(path) for arg in JSON_INPUTS[name]]) == (2, "", message)

@@ -1,11 +1,15 @@
 import random
 import sys
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     corrupted_ackermann_description,
     hook_transitions,
+    program_text,
     random_functional_graph_set,
     reference_run,
     reference_safety,
@@ -15,13 +19,16 @@ from sct import (
     Arc,
     ArcKind,
     OutOfFuel,
+    SourceError,
     eval_program,
     parse_program,
     sample_safety,
     synthesize,
 )
+from sct import interp
 from sct.extract import Mode, extract_description
 from sct.interp import Fuel
+from sct.syntax import Call, Cases, PrimOp
 
 
 def ack_oracle(x, y):
@@ -305,3 +312,143 @@ class TestDepth:
         eval_program(ackermann, "A", (2, 100), fuel)
         n = 100
         assert 10**6 - fuel.budget == 2 * n**2 + 7 * n + 5  # the calls A(2, n) makes
+
+
+# --- reuse of returned calls ------------------------------------------------------
+
+# nested calls that repeat: a doubling tree, a call's value as the argument of
+# another (q(x) = 2^x), and an inner call whose state the tail call repeats
+REPEATING = {
+    "d": "d(x) = if x=0 then 1 else plus(d(x-1), d(x-1))",
+    "q": "q(x) = if x=0 then 1 else plus(q(min(q(x-1), x-1)), q(x-1))",
+    "n": "n(x, y) = if x=0 then y+1 else n(x-1, n(x-1, y))",
+}
+
+
+@contextmanager
+def recursion_limit(limit):
+    """The reference walk recurses a few Python frames per interpreted call."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def assert_same_at_budgets(program, fun, values, cap):
+    """Equal value or OutOfFuel, and equal fuel left, at budgets around what the run spends.
+
+    The budgets come from the compiled run's spending: were it wrong, the
+    reference would disagree at the budget it names.
+    """
+    outcome, left = compiled_outcome(program, fun, values, cap)
+    spent = cap - left
+    budgets = {0, 1, 2, 3, 10, 100, spent // 2, spent - 1, spent, spent + 1}
+    if outcome != "out of fuel":
+        budgets.add(10**5)
+    with recursion_limit(20_000):
+        for budget in sorted(budgets):
+            expected = reference_outcome(program, fun, values, budget)
+            assert compiled_outcome(program, fun, values, budget) == expected, (values, budget)
+
+
+def count_entries(compiled):
+    """Make each function's select count the calls entered; returns the one-item count."""
+    count = [0]
+
+    def counting(fn):
+        inner = fn.select
+
+        def select(args):
+            nonlocal inner
+            count[0] += 1
+            leaf = inner(args)
+            if fn.select is not select:  # the first entry put the compiled chain in its place
+                inner, fn.select = fn.select, select
+            return leaf
+
+        fn.select = select
+
+    for fn in compiled.funs.values():
+        counting(fn)
+    return count
+
+
+def counted_run(program, fun, values, budget, hook=None):
+    """(value or "out of fuel", fuel left, calls entered) of one compiled run."""
+    compiled = interp._Compiled(program)
+    entries = count_entries(compiled)
+    fuel = Fuel(budget)
+    try:
+        outcome = interp._run(compiled.enter(fun, values), values, fuel, hook)
+    except OutOfFuel:
+        outcome = "out of fuel"
+    return outcome, fuel.budget, entries[0]
+
+
+def has_non_tail_call(c) -> bool:
+    if isinstance(c, Cases):
+        return any(map(has_non_tail_call, c.thens)) or has_non_tail_call(c.orelse)
+    return isinstance(c, (Call, PrimOp)) and any(map(interp._has_call, c.args))
+
+
+class TestReuse:
+    """A returned non-tail call is reused in unhooked runs, with its fuel charged again.
+
+    Hooked runs reuse nothing: TestAgainstReference compares their
+    transitions, and sample_safety on Ackermann, with the reference's.
+    """
+
+    @pytest.mark.parametrize("m", range(4))
+    def test_ackermann(self, ackermann, m):
+        for n in range(7):
+            assert_same_at_budgets(ackermann, "A", (m, n), 10**6)
+
+    @pytest.mark.parametrize("name, top", [("d", 10), ("q", 7), ("n", 10)])
+    def test_repeating_programs(self, name, top):
+        program = parse_program(REPEATING[name])
+        for x in range(top + 1):
+            assert_same_at_budgets(program, name, (x, 2)[: program.defs[0].sig.arity], 10**6)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(program_text(), st.tuples(st.integers(0, 4), st.integers(0, 4)))
+    def test_generated_programs_with_nested_calls(self, text, values):
+        try:
+            program = parse_program(text)
+        except SourceError:
+            program = None
+        assume(program is not None and any(has_non_tail_call(d.body) for d in program.defs))
+        for d in program.defs:
+            assert_same_at_budgets(program, d.sig.name, values[: d.sig.arity], 300)
+
+    def test_reused_cost_past_the_budget_left(self):
+        # d(5) enters d(5), then d(4) down to d(0) and d(0) again (a one-entry
+        # call is not kept): 7 calls.  The repeats of d(1), d(2), d(3) and d(4)
+        # are charged 3, 7, 15 and 31 without being entered
+        program = parse_program(REPEATING["d"])
+        assert counted_run(program, "d", (5,), 63) == (32, 0, 7)
+        # at 62, 30 is left for the repeat of d(4): the charge takes it all
+        assert counted_run(program, "d", (5,), 62) == ("out of fuel", 0, 7)
+        assert reference_outcome(program, "d", (5,), 62) == ("out of fuel", 0)
+
+    def test_far_fewer_entries_than_charges(self, ackermann):
+        value, left, entries = counted_run(ackermann, "A", (2, 30), 10**6)
+        assert value == ack_oracle(2, 30)
+        assert 10**6 - left == 2 * 30**2 + 7 * 30 + 5
+        assert entries * 5 < 10**6 - left  # 215 entries for 2,015 charges
+
+    def test_hooked_run_enters_every_call(self, ackermann):
+        fuel = Fuel(10**6)
+        eval_program(ackermann, "A", (2, 3), fuel)
+        spent = 10**6 - fuel.budget
+        # one transition per entry after the first
+        assert len(hook_transitions(ackermann, "A", (2, 3), 10**6)) == spent - 1
+        assert counted_run(ackermann, "A", (2, 3), 10**6, lambda *t: None) == (9, fuel.budget, spent)
+
+    def test_no_table_outlives_its_run(self):
+        compiled = interp._Compiled(parse_program(REPEATING["d"]))
+        entries = count_entries(compiled)
+        for runs in (1, 2):
+            assert interp._run(compiled.enter("d", (5,)), (5,), Fuel(63), None) == 32
+            assert entries[0] == 7 * runs

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -177,6 +178,18 @@ class TestDumps:
         monkeypatch.setattr(json, "dumps", lambda value: seen.append(value) or real(value))
         assert dumps(data) == expected
         assert seen == [1.5]
+
+    def test_integers_past_the_digit_limit(self):
+        # zeros at either end of a split, a sign, and just past the limit
+        limit = sys.get_int_max_str_digits()
+        values = [10**limit, 10**limit - 1, -(10**6000) - 7, 2**16384, 7 * 10**9000 + 10**4000]
+        data = {"big": values + [random.Random(0).getrandbits(60_000)]}
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = reference_dumps(data)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert dumps(data) == expected
 
     def test_other_leaf_and_key_raise_type_error(self):
         with pytest.raises(TypeError):
