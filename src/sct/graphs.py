@@ -231,41 +231,51 @@ def _has_strict_diagonal(rows: Sequence[int], n: int) -> bool:
     return False
 
 
-class _FanOut(dict):
-    """The rows of r;g1 for every right factor g1 leaving one signature, keyed by the left row r.
+def _row_alphabet(sigs: Sequence[FunSig], bases: Sequence[tuple[int, int, int, tuple[int, ...]]]):
+    """Number the rows met over each signature in first-met order, closed under the bases.
 
-    A value is the tuple of product rows, one per right factor in the order
-    given, so the rows of an element's successors are ``zip(*map(fan, left))``:
-    one lookup per left row.  A row not seen yet is computed with ``_product``
-    and kept, so a map holds only the rows its caller meets, at most 3**m.
+    ``bases`` holds (base index, source index, target index, rows).  Returns
+    per signature its rows by id; per base the ids of its rows; and per
+    signature the (base index, target index) of each base g leaving it and
+    their tables, the table of g giving the id of r;g by the id of r.  Each
+    round multiplies the rows new to a signature by each base leaving it, in
+    one ``_product``.
     """
+    arity = [len(sig.params) for sig in sigs]
+    ids: list[dict[int, int]] = [{} for _ in sigs]  # per signature: row -> id, in id order
+    for _, _, t, g in bases:
+        for r in g:
+            ids[t].setdefault(r, len(ids[t]))
+    leaving: list[list] = [[] for _ in sigs]
+    for j, s, t, g in bases:
+        leaving[s].append((j, t, g, []))
+    done = [0] * len(sigs)  # per signature: its rows already multiplied out
+    while done != [len(known) for known in ids]:
+        for k, known in enumerate(ids):
+            if done[k] == len(known):
+                continue
+            new, done[k] = list(known)[done[k]:], len(known)
+            for _, t, g, table in leaving[k]:
+                to = ids[t]
+                for p in _product(new, g, arity[k], arity[t]):
+                    table.append(to.setdefault(p, len(to)))
+    codes = [[ids[t][r] for r in g] for _, _, t, g in bases]
+    pairs = [[(j, t) for j, t, _, _ in out] for out in leaving]
+    return [list(d) for d in ids], codes, pairs, [[tb for *_, tb in out] for out in leaving]
 
-    __slots__ = ("rights", "m")
 
-    def __init__(self, m: int, rights: Sequence[tuple[tuple[int, ...], int]]) -> None:
-        super().__init__()
-        self.m, self.rights = m, rights  # (rows of g1, arity of its target)
-
-    def __missing__(self, row: int) -> tuple[int, ...]:
-        m = self.m
-        self[row] = out = tuple(_product((row,), right, m, n)[0] for right, n in self.rights)
-        return out
+def _coder(alphabet: Sequence[Sequence[int]]) -> tuple[Callable, Callable, Callable]:
+    """The makers of a code and of a table from ids, and of the lookup of a row
+    by an item of a code.  A code is bytes, translated through tables of 256
+    bytes, unless some signature has more than 256 rows: then it is a str of
+    ``chr(id)``, translated through lists of ids."""
+    return _TEXT_CODER if max(map(len, alphabet), default=0) > 256 else _BYTE_CODER
 
 
-def _fan_outs(
-    sigs: Sequence[FunSig], bases: Sequence[tuple[int, int, int, tuple[int, ...]]]
-) -> list[tuple[list[tuple[int, int]], Callable[[int], tuple[int, ...]]]]:
-    """Per signature index: the (base index, target index) pairs of the bases
-    leaving it, in the order of ``bases``, and the lookup of its fan-out map.
-
-    ``bases`` holds (base index, source index, target index, rows).
-    """
-    out = []
-    for k, sig in enumerate(sigs):
-        leaving = [(j, t, rows) for j, s, t, rows in bases if s == k]
-        fan = _FanOut(sig.arity, [(rows, sigs[t].arity) for _, t, rows in leaving])
-        out.append(([(j, t) for j, t, _ in leaving], fan.__getitem__))
-    return out
+_BYTE_CODER = (bytes, lambda ids: bytes(ids).ljust(256, b"\0"), lambda rows: rows.__getitem__)
+_TEXT_CODER = (
+    lambda ids: "".join(map(chr, ids)), list, lambda rows: {chr(i): r for i, r in enumerate(rows)}.__getitem__
+)
 
 
 def compose(g0: SizeChangeGraph, g1: SizeChangeGraph) -> SizeChangeGraph:
@@ -365,23 +375,23 @@ class DerivedGraph:
 class Closure:
     """The composition closure of a graph set, as flat lists in breadth-first order.
 
-    Element k is ``keys[k]``, its (source index, target index, rows) with
+    Element k is ``keys[k]``, its (source index, target index, code) with
     indices into ``gs.sigs``; it extends element ``parents[k]`` (-1 for a
-    base graph) by the base graph ``lasts[k]``.  No graph object is built
-    until a caller reads one: ``element(k)`` alone, or all of ``elements``
-    at once.  The empty set closes to no element.
+    base graph) by the base graph ``lasts[k]``.  A code holds the ids of the
+    element's rows in ``alphabet[target index]`` (see ``_coder``).  No row is
+    decoded and no graph object built until a caller reads one:
+    ``element(k)`` alone, or all of ``elements`` at once.  The empty set
+    closes to no element.
     """
 
-    __slots__ = ("gs", "keys", "parents", "lasts", "_elements")
+    __slots__ = ("gs", "alphabet", "keys", "parents", "lasts", "_coder", "_row_of", "_elements")
 
     def __init__(
-        self,
-        gs: GraphSet,
-        keys: list[tuple[int, int, tuple[int, ...]]],
-        parents: list[int],
-        lasts: list[int],
+        self, gs: GraphSet, alphabet: list[list[int]], keys: list, parents: list[int], lasts: list[int]
     ) -> None:
-        self.gs, self.keys, self.parents, self.lasts = gs, keys, parents, lasts
+        self.gs, self.alphabet, self.keys, self.parents, self.lasts = gs, alphabet, keys, parents, lasts
+        self._coder = _coder(alphabet)
+        self._row_of = list(map(self._coder[2], alphabet))  # per signature
         self._elements: Optional[tuple[DerivedGraph, ...]] = None
 
     def __len__(self) -> int:
@@ -416,9 +426,13 @@ class Closure:
             self._elements = tuple(map(DerivedGraph, map(self._graph, self.keys), words))
         return self._elements
 
-    def _graph(self, key: tuple[int, int, tuple[int, ...]]) -> SizeChangeGraph:
+    def rows(self, tgt: int, code: Sequence[int]) -> tuple[int, ...]:
+        """The rows a code stands for, over the signature of index tgt."""
+        return tuple(map(self._row_of[tgt], code))
+
+    def _graph(self, key: tuple[int, int, Sequence[int]]) -> SizeChangeGraph:
         sigs = self.gs.sigs
-        return SizeChangeGraph._of_rows(sigs[key[0]], sigs[key[1]], key[2])
+        return SizeChangeGraph._of_rows(sigs[key[0]], sigs[key[1]], self.rows(key[1], key[2]))
 
 
 def closure(gs: GraphSet) -> Closure:
@@ -426,46 +440,45 @@ def closure(gs: GraphSet) -> Closure:
 
     Breadth-first extension by base graphs visits candidate words in shortlex
     order, so each element carries the shortlex-least witness among the
-    derivations the fixpoint discovers, and the result is deterministic.
-    Candidates are told apart by (source index, target index, rows), kept
-    as one set of rows per (source, target), so a candidate is tested by its
-    rows alone.  An element is kept as its key, its parent's index and its
-    last base graph; no graph object is built.  Every right factor is a base
-    graph, so an element reaches all its successors through the fan-out map
-    of its target signature, one lookup per row, and through the successor
-    list of its (source, target) pair, made on first use: each base graph
-    that can follow, with its target and the set its products go into.
+    derivations the fixpoint discovers, and the result is deterministic.  An
+    element is kept as its key (source index, target index, code of row ids,
+    see ``_row_alphabet``), its parent's index and its last base graph.  Its
+    successor by base graph j is ``code.translate(table j)``, one call in C,
+    kept unless the set of codes of its (source, target) has it; the
+    successor list of a (source, middle) pair is made on first use.
     """
     index = {sig: k for k, sig in enumerate(gs.sigs)}
     bases = [(j, index[g.source], index[g.target], g.rows) for j, g in enumerate(gs.graphs)]
+    alphabet, codes, pairs, tables = _row_alphabet(gs.sigs, bases)
+    code_of, table_of, _ = _coder(alphabet)
     # per middle signature: its successor lists by source index, made on first
-    # use, the (base index, target index) pairs leaving it, and its fan-out
-    after = [({}, leaving, fan) for leaving, fan in _fan_outs(gs.sigs, bases)]
-    seen: defaultdict[tuple[int, int], set[tuple[int, ...]]] = defaultdict(set)
-    keys: list[tuple[int, int, tuple[int, ...]]] = []
+    # use, the (base index, target index) pairs leaving it, and their tables
+    after = [({}, out, list(map(table_of, tbs))) for out, tbs in zip(pairs, tables)]
+    seen: defaultdict[tuple[int, int], set] = defaultdict(set)
+    keys: list[tuple[int, int, Sequence[int]]] = []
     parents: list[int] = []
     lasts: list[int] = []
-    for j, src, tgt, rows in bases:
+    for (j, src, tgt, _), code in zip(bases, map(code_of, codes)):
         found = seen[src, tgt]
-        if rows not in found:
-            found.add(rows)
-            keys.append((src, tgt, rows))
+        if code not in found:
+            found.add(code)
+            keys.append((src, tgt, code))
             parents.append(-1)
             lasts.append(j)
     push_key, push_parent, push_last = keys.append, parents.append, lasts.append
     # keys doubles as the queue: it is walked while it grows
-    for i, (src, mid, left) in enumerate(keys):
-        lists, leaving, fan = after[mid]
+    for i, (src, mid, code) in enumerate(keys):
+        lists, leaving, tabs = after[mid]
         succ = lists.get(src)
         if succ is None:
             succ = lists[src] = [(j, tgt, seen[src, tgt]) for j, tgt in leaving]
-        for (j, tgt, found), rows in zip(succ, zip(*map(fan, left))):
-            if rows not in found:
-                found.add(rows)
-                push_key((src, tgt, rows))
+        for (j, tgt, found), c in zip(succ, map(code.translate, tabs)):
+            if c not in found:
+                found.add(c)
+                push_key((src, tgt, c))
                 push_parent(i)
                 push_last(j)
-    return Closure(gs, keys, parents, lasts)
+    return Closure(gs, alphabet, keys, parents, lasts)
 
 
 @record
@@ -547,19 +560,37 @@ def decide_periodic_descent(
 def check_sct_criterion(gs: GraphSet, cl: Optional[Closure] = None) -> Verdict:
     """Terminating iff every idempotent in the closure has a strict self-arc.
 
-    Each endo-element is decided on its key: first the strict diagonal, read
-    from the rows, then, only without one, ``_is_idempotent``, which stops at
-    the first row of the square that differs.  Only the first failing
-    idempotent is built as a graph.
+    Each endo-element is decided on its key: first the strict diagonal, then,
+    only without one, ``_is_idempotent`` on its decoded rows.  Up to 8
+    parameters the code is translated to its rows' strict bits, a byte a row,
+    and read as an int whose bit 9i is row i's diagonal.  Only the first
+    failing idempotent is built as a graph.
     """
     if cl is None:
         cl = closure(gs)
-    arity = [sig.arity for sig in cl.gs.sigs]
-    for k, (src, tgt, rows) in enumerate(cl.keys):
+    bytes_codes = cl._coder[0] is bytes
+    # per signature, made at its first endo-element: its arity, the lookup of
+    # its rows, and, for byte codes up to 8 parameters, the table of each row's
+    # strict byte (r >> n) and the diagonal mask (bits 9i for i < n)
+    tests: list[Optional[tuple]] = [None] * len(cl.alphabet)
+    from_bytes = int.from_bytes
+    for k, (src, tgt, code) in enumerate(cl.keys):
         if src != tgt:
             continue
-        n = arity[src]
-        if not _has_strict_diagonal(rows, n) and _is_idempotent(rows, n):
+        test = tests[src]
+        if test is None:
+            n = len(cl.gs.sigs[src].params)
+            strict = None
+            if n <= 8 and bytes_codes:
+                strict = bytes(map(n.__rrshift__, cl.alphabet[src])).ljust(256, b"\0")
+            test = tests[src] = (n, cl._row_of[src], strict, ((1 << 9 * n) - 1) // 511)
+        n, row_of, strict, diagonal = test
+        if strict is not None and from_bytes(code.translate(strict), "little") & diagonal:
+            continue
+        rows = tuple(map(row_of, code))
+        if strict is None and _has_strict_diagonal(rows, n):
+            continue
+        if _is_idempotent(rows, n):
             dg = cl.element(k)
             lasso = LassoMultipath((), dg.witness)
             # a failing idempotent must also be descent-free as a lasso
@@ -567,4 +598,3 @@ def check_sct_criterion(gs: GraphSet, cl: Optional[Closure] = None) -> Verdict:
                 raise AssertionError("failing idempotent has a descent as a lasso")
             return Verdict(False, failing_idempotent=dg, lasso=lasso)
     return Verdict(True)
-

@@ -264,9 +264,9 @@ def _run(fn: _Fun, args: tuple, fuel: Fuel, hook: Optional[_Hook]) -> int:
     """
     budget = fuel.budget
     frames: list[tuple] = []
-    # callee -> arguments -> (value, cost) for this run; a hooked run keeps none
+    # callee -> arguments -> (value, cost) for this run; a hooked run neither keeps nor reads one
     done: defaultdict[_Fun, dict[tuple, tuple[int, int]]] = defaultdict(dict)
-    keep = hook is None
+    keep, table = hook is None, None
     try:
         if budget <= 0:
             raise OutOfFuel()
@@ -316,18 +316,20 @@ def _run(fn: _Fun, args: tuple, fuel: Fuel, hook: Optional[_Hook]) -> int:
                         stack.append(value)
                         continue
                     # a call that saves the frame, unless it has returned before
-                    table = done[x]
-                    found = table.get(argv)
-                    if found is None:
-                        callee = x
-                        frames.append((fn, args, code, pc, stack, table, argv, budget))
-                        break
-                    value, cost = found
-                    if cost > budget:
-                        budget = 0
-                        raise OutOfFuel()
-                    budget -= cost
-                    stack.append(value)
+                    if keep:
+                        table = done[x]
+                        found = table.get(argv)
+                        if found is not None:
+                            value, cost = found
+                            if cost > budget:
+                                budget = 0
+                                raise OutOfFuel()
+                            budget -= cost
+                            stack.append(value)
+                            continue
+                    callee = x
+                    frames.append((fn, args, code, pc, stack, table, argv, budget))
+                    break
             if hook is not None:
                 hook(fn.sig, args, label, callee.sig, argv)
             if budget <= 0:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .graphs import GraphSet, LassoMultipath, _fan_outs, _has_strict_diagonal
+from .graphs import GraphSet, LassoMultipath, _has_strict_diagonal, _product
 from .record import record
 
 
@@ -61,6 +61,21 @@ def _strict_cycle(rows: tuple[int, ...], n: int) -> bool:
     return False
 
 
+class _FanOut(dict):
+    """The rows of r;g for each given base g, keyed by the row r: made on first
+    use and kept, so a map holds only the rows its caller meets."""
+
+    __slots__ = ("rights", "m")
+
+    def __init__(self, m: int, rights: list[tuple[tuple[int, ...], int]]) -> None:
+        super().__init__()
+        self.m, self.rights = m, rights  # (rows of g, arity of its target)
+
+    def __missing__(self, row: int) -> tuple[int, ...]:
+        self[row] = out = tuple(_product((row,), g, self.m, n)[0] for g, n in self.rights)
+        return out
+
+
 def bounded_lasso_oracle(gs: GraphSet, max_len: int) -> OracleReport:
     """Search composable cyclic words, in shortlex order, for a descent-free repetition.
 
@@ -69,8 +84,8 @@ def bounded_lasso_oracle(gs: GraphSet, max_len: int) -> OracleReport:
     infinite multipath without infinite descent.  Each length is walked
     depth-first on an explicit stack of (depth, graph index, source index,
     target index, rows), so the bound is not limited by the recursion limit;
-    a word's rows extend its prefix's through the fan-out map of its target
-    signature, the closure's row map, and the current word is one list
+    a word's rows extend its prefix's, one lookup per row, through the lazy
+    ``_FanOut`` map of its target signature, and the current word is one list
     indexed by depth.  The verdict on a cyclic value is kept per (signature
     index, rows).  The walk stops at the first length no composable word
     reaches, as no longer word is composable either.
@@ -81,7 +96,13 @@ def bounded_lasso_oracle(gs: GraphSet, max_len: int) -> OracleReport:
     # children are pushed in that order, so they pop smallest first
     bases = [(j, sigs.index(g.source), sigs.index(g.target), g.rows) for j, g in enumerate(gs.graphs)]
     bases.reverse()
-    after = _fan_outs(sigs, bases)
+    # per signature index: the (graph index, target index) of each base leaving
+    # it, in the order of bases, and the lookup of its fan-out map
+    after = []
+    for k, sig in enumerate(sigs):
+        leaving = [(j, t, rows) for j, s, t, rows in bases if s == k]
+        fan = _FanOut(sig.arity, [(rows, sigs[t].arity) for _, t, rows in leaving])
+        after.append(([(j, t) for j, t, _ in leaving], fan.__getitem__))
     descends: dict[tuple[int, tuple[int, ...]], bool] = {}
     checked = 0
     for length in range(1, max_len + 1):

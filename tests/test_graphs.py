@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import sct.graphs
 from helpers import (
     random_cyclic_word,
+    random_functional_graph_set,
     random_graph,
     random_graph_set,
     random_permutation_set,
@@ -235,7 +236,7 @@ class TestKernel:
         arcs = (Arc(0, ArcKind.STRICT, 0), Arc(1, ArcKind.NONSTRICT, 1))
         gs = GraphSet.of([SizeChangeGraph(f, g, arcs), SizeChangeGraph(g, f, arcs)])
         cl = closure(gs)
-        assert len({rows for _, _, rows in cl.keys}) == 1
+        assert len({cl.rows(tgt, code) for _, tgt, code in cl.keys}) == 1
         assert [(dg.graph.source, dg.graph.target, dg.witness) for dg in cl.elements] == [
             (f, g, (0,)), (g, f, (1,)), (f, f, (0, 1)), (g, g, (1, 0))
         ]
@@ -487,6 +488,60 @@ class TestCriterion:
         monkeypatch.setattr(sct.graphs, "decide_periodic_descent", lambda lasso, gs: witness)
         with pytest.raises(AssertionError, match="has a descent"):
             check_sct_criterion(swap_graphs)
+
+
+class TestRowAlphabet:
+    """Closures on codes of row ids against the references on arcs."""
+
+    @staticmethod
+    def alphabet_set(count: int, strict_return: bool) -> GraphSet:
+        """h(x) -> f(p0..p8) through ``count`` one-row graphs, then f -> g -> h.
+
+        The rows into f are the first count // 2 nonempty reach sets, once
+        all strict and once all non-strict (and one more all-strict row when
+        count is odd).  Every p reaches g's y and y reaches x, so a row over
+        h is x >= x or x > x, and its products with the rows into f stay
+        among them: f has exactly ``count`` rows.  With ``strict_return`` the
+        set terminates and the criterion reads every element.
+        """
+        h, f, g = FunSig("h", ("x",)), sig("f", 9), FunSig("g", ("y",))
+        kinds = {False: ArcKind.NONSTRICT, True: ArcKind.STRICT}
+        rows = [(reach, strict) for reach in range(1, count // 2 + 1) for strict in (True, False)]
+        rows += [(count // 2 + 1, True)] * (count % 2)
+        graphs = [
+            SizeChangeGraph(h, f, [Arc(0, kinds[strict], t) for t in range(9) if reach >> t & 1])
+            for reach, strict in rows
+        ]
+        graphs.append(SizeChangeGraph(f, g, [Arc(s, ArcKind.NONSTRICT, 0) for s in range(9)]))
+        graphs.append(SizeChangeGraph(g, h, [Arc(0, kinds[strict_return], 0)]))
+        return GraphSet.of(graphs)
+
+    @pytest.mark.parametrize("count", [256, 257])
+    @pytest.mark.parametrize("strict_return", [True, False])
+    def test_alphabet_boundary(self, count, strict_return):
+        """256 rows over one signature stay on bytes; 257 take str codes."""
+        gs = self.alphabet_set(count, strict_return)
+        cl = closure(gs)
+        assert max(map(len, cl.alphabet)) == count
+        assert {type(code) for _, _, code in cl.keys} == {bytes if count == 256 else str}
+        TestKernel.assert_closure_matches_reference(gs)
+        assert TestCriterion.assert_verdict_matches_reference(gs) != strict_return
+
+    def test_benchmark_shapes_match_reference(self):
+        """Permutation sets at arity 5 and 6 and functional sets on up to 6
+        functions: elements, witnesses and verdict against the references."""
+        rng = random.Random(25)
+        sets = [
+            random_permutation_set(rng, arity, partial, strict_fixpoint)
+            for arity, strict_fixpoint in ((5, False), (5, True), (6, True))
+            for partial in (0.0, 0.15)
+        ]
+        sets += [random_functional_graph_set(rng, 6, 4, 8) for _ in range(60)]
+        failures = 0
+        for gs in sets:
+            TestKernel.assert_closure_matches_reference(gs)
+            failures += TestCriterion.assert_verdict_matches_reference(gs)
+        assert 10 < failures < len(sets) - 10
 
 
 class TestPeriodicDescent:
