@@ -1,9 +1,10 @@
 """Independent bounded brute-force check of the termination criterion.
 
-Walks every composable cyclic word up to a length bound and tests its
-composition for a cycle through a strict arc, which holds exactly when the
-composition's idempotent power has a strict self-arc.  Used to cross-validate
-the closure-based criterion, which tests idempotents.
+Covers every composable cyclic word up to a length bound, through each
+distinct composition, and tests the composition for a cycle through a strict
+arc, which holds exactly when its idempotent power has a strict self-arc.
+Used to cross-validate the closure-based criterion, which tests idempotents;
+the oracle shares no closure, table or test with it.
 """
 
 from __future__ import annotations
@@ -76,57 +77,93 @@ class _FanOut(dict):
         return out
 
 
+def _count_words(bases: list, n: int, length: int, word: tuple[int, ...] = ()) -> int:
+    """The composable endo-words of lengths 1 to length, or up to word in shortlex order.
+
+    ``bases`` holds each base's (source index, target index, rows).  Per start
+    signature, a vector of word counts per end signature steps along the
+    bases; its own entry counts the endo-words of each length.  To place the
+    word, every shorter length's vectors are kept: at each position, each
+    composable base below the letter adds its completions back to the start
+    (its own source at the first position).
+    """
+    checked, paths = 0, []  # paths[s][j][t]: the words of length j from s to t
+    for s in range(n):
+        vec = [0] * n
+        vec[s] = 1
+        paths.append([vec])
+        for _ in range(length - 1 if word else length):
+            step = [0] * n
+            for a, b, _ in bases:
+                step[b] += vec[a]
+            vec = step
+            checked += vec[s]
+            if word:
+                paths[s].append(vec)
+            elif not any(vec):  # no longer word leaves s either
+                break
+    if not word:
+        return checked
+    start = bases[word[0]][0]
+    checked += sum(paths[b][length - 1][a] for a, b, _ in bases[: word[0]])
+    for i in range(1, length):
+        at = bases[word[i - 1]][1]
+        checked += sum(paths[b][length - 1 - i][start] for a, b, _ in bases[: word[i]] if a == at)
+    return checked + 1
+
+
 def bounded_lasso_oracle(gs: GraphSet, max_len: int) -> OracleReport:
     """Search composable cyclic words, in shortlex order, for a descent-free repetition.
 
     A word whose composition has no cycle through a strict arc (so its
     idempotent power has no strict self-arc, see ``_strict_cycle``) yields an
-    infinite multipath without infinite descent.  Each length is walked
-    depth-first on an explicit stack of (depth, graph index, source index,
-    target index, rows), so the bound is not limited by the recursion limit;
-    a word's rows extend its prefix's, one lookup per row, through the lazy
-    ``_FanOut`` map of its target signature, and the current word is one list
-    indexed by depth.  The verdict on a cyclic value is kept per (signature
-    index, rows).  The walk stops at the first length no composable word
-    reaches, as no longer word is composable either.
+    infinite multipath without infinite descent.  The verdict depends only on
+    the composition, a value (source index, target index, rows), so the search
+    is breadth-first over distinct values: the bases in index order, then each
+    layer's values in order, each extended by the bases leaving its target in
+    index order through that signature's lazy ``_FanOut`` map.  A value is
+    kept at its first arrival, its shortlex-least word, so the first failing
+    endo-value of a layer carries the least failing word, and every word
+    within the bound is covered through its value.  The search stops at the
+    bound or at a layer with no new value; ``words_checked``, the endo-words
+    a word-by-word walk tests, is counted.
     """
     check_max_len(max_len)
     sigs = gs.sigs
-    # (graph index, source index, target index, rows), in reverse index order:
-    # children are pushed in that order, so they pop smallest first
-    bases = [(j, sigs.index(g.source), sigs.index(g.target), g.rows) for j, g in enumerate(gs.graphs)]
-    bases.reverse()
-    # per signature index: the (graph index, target index) of each base leaving
-    # it, in the order of bases, and the lookup of its fan-out map
-    after = []
-    for k, sig in enumerate(sigs):
-        leaving = [(j, t, rows) for j, s, t, rows in bases if s == k]
-        fan = _FanOut(sig.arity, [(rows, sigs[t].arity) for _, t, rows in leaving])
-        after.append(([(j, t) for j, t, _ in leaving], fan.__getitem__))
-    descends: dict[tuple[int, tuple[int, ...]], bool] = {}
-    checked = 0
+    bases = [(sigs.index(g.source), sigs.index(g.target), g.rows) for g in gs.graphs]
+    arity = [sig.arity for sig in sigs]
+    # per signature index, made on first use: the (graph index, target index)
+    # of each base leaving it, and the lookup of its fan-out map
+    after: list = [None] * len(sigs)
+    seen: dict = {}  # value -> (the value it extends, or None; the graph index appended)
+    for j, value in enumerate(bases):
+        seen.setdefault(value, (None, j))
+    layer = list(seen)
     for length in range(1, max_len + 1):
-        last = length - 1
-        word = [0] * length
-        stack = [(0, j, s, t, rows) for j, s, t, rows in bases]
-        reached = False
-        while stack:
-            depth, j, src, tgt, rows = stack.pop()
-            word[depth] = j
-            if depth < last:
-                depth += 1
-                succ, fan = after[tgt]
-                for (k, t), child in zip(succ, zip(*map(fan, rows))):
-                    stack.append((depth, k, src, t, child))
-                continue
-            reached = True
-            if src == tgt:
-                checked += 1
-                verdict = descends.get((src, rows))
-                if verdict is None:
-                    verdict = descends[src, rows] = _strict_cycle(rows, sigs[src].arity)
-                if not verdict:
-                    return OracleReport(LassoMultipath((), tuple(word)), max_len, checked)
-        if not reached:
+        for value in layer:
+            src, tgt, rows = value
+            if src == tgt and not _strict_cycle(rows, arity[src]):
+                word = []
+                while value is not None:
+                    value, j = seen[value]
+                    word.append(j)
+                word = tuple(reversed(word))
+                checked = _count_words(bases, len(sigs), length, word)
+                return OracleReport(LassoMultipath((), word), max_len, checked)
+        if not layer or length == max_len:
             break
-    return OracleReport(None, max_len, checked)
+        grown = []
+        for value in layer:
+            src, tgt, rows = value
+            if after[tgt] is None:
+                leaving = [(j, t, r) for j, (s, t, r) in enumerate(bases) if s == tgt]
+                fan = _FanOut(arity[tgt], [(r, arity[t]) for _, t, r in leaving])
+                after[tgt] = [(j, t) for j, t, _ in leaving], fan.__getitem__
+            succ, fan = after[tgt]
+            for (j, t), child in zip(succ, zip(*map(fan, rows))):
+                key = src, t, child
+                if key not in seen:
+                    seen[key] = value, j
+                    grown.append(key)
+        layer = grown
+    return OracleReport(None, max_len, _count_words(bases, len(sigs), max_len))

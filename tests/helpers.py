@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import operator
 import random
+from functools import reduce
 
 from hypothesis import strategies as st
 
@@ -16,12 +17,15 @@ from sct import (
     GraphSet,
     LassoMultipath,
     SizeChangeGraph,
+    compose,
+    idempotent_power,
 )
 from sct.colorings import EPColoring
 from sct.extract import Description, Mode, extract_description
 from sct.fixtures import ackermann_program
 from sct import interp
 from sct.interp import Fuel, OutOfFuel, SafetyReport, Violation
+from sct.oracle import OracleReport, _FanOut, _strict_cycle, check_max_len
 from sct.parser import ParseError
 from sct.record import record
 from sct.reduction import ReversalRun, _family_graph, family_signature, index_sets
@@ -263,6 +267,76 @@ def reference_closure(gs: GraphSet) -> list[tuple[SizeChangeGraph, tuple[int, ..
             if g.target == base.source:
                 visit(reference_compose(g, base), word + (j,))
     return order
+
+
+def reference_oracle(gs: GraphSet, max_len: int) -> OracleReport:
+    """Plain reference: every index word of each length, composed from scratch."""
+    checked = 0
+    for length in range(1, max_len + 1):
+        for word in itertools.product(range(len(gs.graphs)), repeat=length):
+            graphs = [gs.graphs[i] for i in word]
+            if any(a.target != b.source for a, b in zip(graphs, graphs[1:] + graphs[:1])):
+                continue
+            checked += 1
+            stable, _ = idempotent_power(reduce(compose, graphs))
+            if not stable.strict_self_params():
+                return OracleReport(LassoMultipath((), word), max_len, checked)
+    return OracleReport(None, max_len, checked)
+
+
+def walk_oracle(gs: GraphSet, max_len: int) -> OracleReport:
+    """Search composable cyclic words, in shortlex order, for a descent-free repetition.
+
+    The word-by-word reference for ``bounded_lasso_oracle``, which walks
+    distinct values instead.  Each length is walked depth-first on an explicit
+    stack of (depth, graph index, source index, target index, rows), so the
+    bound is not limited by the recursion limit; a word's rows extend its
+    prefix's, one lookup per row, through the lazy ``_FanOut`` map of its
+    target signature, and the current word is one list indexed by depth.  The
+    verdict on a cyclic value is kept per (signature index, rows).  The walk
+    stops at the first length no composable word reaches, as no longer word is
+    composable either.
+    """
+    check_max_len(max_len)
+    sigs = gs.sigs
+    # (graph index, source index, target index, rows), in reverse index order:
+    # children are pushed in that order, so they pop smallest first
+    bases = [(j, sigs.index(g.source), sigs.index(g.target), g.rows) for j, g in enumerate(gs.graphs)]
+    bases.reverse()
+    # per signature index: the (graph index, target index) of each base leaving
+    # it, in the order of bases, and the lookup of its fan-out map
+    after = []
+    for k, sig in enumerate(sigs):
+        leaving = [(j, t, rows) for j, s, t, rows in bases if s == k]
+        fan = _FanOut(sig.arity, [(rows, sigs[t].arity) for _, t, rows in leaving])
+        after.append(([(j, t) for j, t, _ in leaving], fan.__getitem__))
+    descends: dict[tuple[int, tuple[int, ...]], bool] = {}
+    checked = 0
+    for length in range(1, max_len + 1):
+        last = length - 1
+        word = [0] * length
+        stack = [(0, j, s, t, rows) for j, s, t, rows in bases]
+        reached = False
+        while stack:
+            depth, j, src, tgt, rows = stack.pop()
+            word[depth] = j
+            if depth < last:
+                depth += 1
+                succ, fan = after[tgt]
+                for (k, t), child in zip(succ, zip(*map(fan, rows))):
+                    stack.append((depth, k, src, t, child))
+                continue
+            reached = True
+            if src == tgt:
+                checked += 1
+                verdict = descends.get((src, rows))
+                if verdict is None:
+                    verdict = descends[src, rows] = _strict_cycle(rows, sigs[src].arity)
+                if not verdict:
+                    return OracleReport(LassoMultipath((), tuple(word)), max_len, checked)
+        if not reached:
+            break
+    return OracleReport(None, max_len, checked)
 
 
 REFERENCE_PRIMS = {"plus": operator.add, "times": operator.mul, "max": max, "min": min}

@@ -9,7 +9,12 @@ from contextlib import contextmanager
 
 import pytest
 
-from helpers import corrupted_ackermann_description, random_graph_set, random_functional_graph_set
+from helpers import (
+    corrupted_ackermann_description,
+    random_functional_graph_set,
+    random_graph_set,
+    walk_oracle,
+)
 from sct import (
     Arc,
     ArcKind,
@@ -101,6 +106,7 @@ def test_c3_criterion_oracle_agreement():
             verdict = check_sct_criterion(gs, cl)
             report = bounded_lasso_oracle(gs, cl.witness_bound)
             assert verdict.sct == (not report.refuted)
+            assert report == walk_oracle(gs, cl.witness_bound)
             if not verdict.sct:
                 assert decide_periodic_descent(verdict.lasso, gs) is None
             if report.refuted:

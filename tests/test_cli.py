@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -190,6 +191,31 @@ class TestOracleCommand:
         assert code == 0
         assert report["counterexample"] is None
         assert report["criterion_agrees"] is True
+
+    def test_large_bound_prints_every_digit(self, capsys, fixture_dir):
+        capsys.readouterr()
+        argv = ["oracle", str(fixture_dir / "ackermann-graphs.json"), "--max-word-len", "20000"]
+        assert main(argv) == 0
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            digits = str(2**20001 - 2)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(digits) == 6021
+        assert capsys.readouterr().out == (
+            f'{{\n  "max_word_len": 20000,\n  "words_checked": {digits},\n  "counterexample": null\n}}\n'
+        )
+
+    def test_spp_family_at_sixty_within_a_second(self, capsys, tmp_path):
+        path = str(tmp_path / "k3.json")
+        assert main(["principles", "spp-family", "--k", "3", "-o", path]) == 0
+        capsys.readouterr()
+        start = time.perf_counter()
+        code, report = run_json(capsys, ["oracle", path, "--max-word-len", "60"])
+        assert time.perf_counter() - start < 1.0
+        assert (code, report["counterexample"]) == (0, None)
+        assert report["words_checked"] == sum(8**length for length in range(1, 61))
 
 
 class TestNothingToClose:

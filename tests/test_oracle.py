@@ -1,11 +1,16 @@
 import itertools
 import random
 import sys
-from functools import reduce
 
 import pytest
 
-from helpers import random_graph_set, random_wide_graph_set
+from helpers import (
+    random_functional_graph_set,
+    random_graph_set,
+    random_wide_graph_set,
+    reference_oracle,
+    walk_oracle,
+)
 from sct import (
     Arc,
     ArcKind,
@@ -22,21 +27,6 @@ from sct import (
 )
 from sct.oracle import OracleReport, _strict_cycle, bounded_lasso_oracle
 from sct.reduction import spp_reduction_family
-
-
-def reference_oracle(gs, max_len):
-    """Plain reference: every index word of each length, composed from scratch."""
-    checked = 0
-    for length in range(1, max_len + 1):
-        for word in itertools.product(range(len(gs.graphs)), repeat=length):
-            graphs = [gs.graphs[i] for i in word]
-            if any(a.target != b.source for a, b in zip(graphs, graphs[1:] + graphs[:1])):
-                continue
-            checked += 1
-            stable, _ = idempotent_power(reduce(compose, graphs))
-            if not stable.strict_self_params():
-                return OracleReport(LassoMultipath((), word), max_len, checked)
-    return OracleReport(None, max_len, checked)
 
 
 def two_cycle(strict):
@@ -142,7 +132,7 @@ class TestEnumeration:
                 assert bounded_lasso_oracle(gs, max_len) == reference_oracle(gs, max_len)
 
     def test_wide_sets_match_reference(self):
-        """Rows past 64 bits: the row maps, the cycle test and the verdict memo against the reference."""
+        """Rows past 64 bits: the row maps, the cycle test and the value walk against the reference."""
         rng = random.Random(46)
         refuted = 0
         for _ in range(100):
@@ -154,13 +144,13 @@ class TestEnumeration:
         assert 10 < refuted < 90
 
     def test_spp_family_matches_reference(self):
-        # one function and 8 graphs: nearly every cyclic value is met before
+        # one function and 8 graphs: 4,680 words over a closure of 15 values
         report = bounded_lasso_oracle(spp_reduction_family(3), 4)
         assert report == reference_oracle(spp_reduction_family(3), 4)
         assert report.words_checked == 4680
 
     def test_equal_rows_on_two_functions(self):
-        """Cyclic words at f and at g compose to equal rows; each keeps its own verdict."""
+        """Cyclic words at f and at g compose to equal rows; they stay two values with two verdicts."""
         f, g = FunSig("f", ("x", "y")), FunSig("g", ("u", "v"))
         nonstrict, strict = ArcKind.NONSTRICT, ArcKind.STRICT
         gs = GraphSet.of(
@@ -186,6 +176,40 @@ class TestEnumeration:
         finally:
             sys.setrecursionlimit(limit)
         assert report == OracleReport(None, 600, 600)
+
+    def test_large_bound_is_counted_not_walked(self, ack_graphs):
+        # 2 words of each length, none refuted: 2 + 4 + ... + 2^20000
+        assert bounded_lasso_oracle(ack_graphs, 20000) == OracleReport(None, 20000, 2**20001 - 2)
+
+
+class TestAgainstWalk:
+    """The walk over distinct values against the word-by-word walk it replaced."""
+
+    @pytest.mark.parametrize(
+        "generate, seed",
+        [(random_graph_set, 50), (random_functional_graph_set, 51), (random_wide_graph_set, 52)],
+        ids=["random", "functional", "wide"],
+    )
+    def test_seeded_sets(self, generate, seed):
+        rng = random.Random(seed)
+        refuted = 0
+        for _ in range(1000):
+            gs = generate(rng)
+            for max_len in (1, 2, 3, 5):
+                report = bounded_lasso_oracle(gs, max_len)
+                assert report == walk_oracle(gs, max_len), (gs, max_len)
+                refuted += report.refuted
+        assert 800 < refuted < 3200  # 2,600, 2,912 and 1,084 of the 4,000 reports
+
+    @pytest.mark.parametrize("k, top", [(3, 7), (4, 4)])
+    def test_spp_family(self, k, top):
+        gs = spp_reduction_family(k)
+        for max_len in range(1, top + 1):
+            assert bounded_lasso_oracle(gs, max_len) == walk_oracle(gs, max_len)
+
+    def test_ackermann(self, ack_graphs):
+        for max_len in range(1, 19):
+            assert bounded_lasso_oracle(ack_graphs, max_len) == walk_oracle(ack_graphs, max_len)
 
 
 class TestOracle:
@@ -213,6 +237,7 @@ class TestOracle:
             verdict = check_sct_criterion(gs, cl)
             report = bounded_lasso_oracle(gs, cl.witness_bound)
             assert verdict.sct == (not report.refuted)
+            assert report == walk_oracle(gs, cl.witness_bound)
 
     def test_reported_lasso_is_descent_free(self):
         rng = random.Random(42)

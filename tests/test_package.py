@@ -72,8 +72,10 @@ def test_no_assert_statement():
 
 
 def test_oracle_takes_no_idempotent_power():
-    """The oracle tests cycles on rows, so it stays independent of the criterion's idempotents."""
-    assert not {"SizeChangeGraph", "compose", "idempotent_power"} & set(vars(oracle))
+    """The oracle tests cycles on rows and builds no closure, so it stays independent of the criterion."""
+    shared = {"SizeChangeGraph", "compose", "idempotent_power"}
+    shared |= {"closure", "Closure", "_row_alphabet", "_coder", "check_sct_criterion"}
+    assert not shared & set(vars(oracle))
 
 
 # --- start-up: what a process imports ------------------------------------------
