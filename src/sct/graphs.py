@@ -13,7 +13,7 @@ from collections import defaultdict
 from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
 
-from .record import record
+from .record import _frozen, record
 
 
 class CompositionError(ValueError):
@@ -64,26 +64,27 @@ class SizeChangeGraph:
 
     Stored as one int per source parameter: in row i, bit t means "i reaches
     target t" and bit ``t + target.arity`` means "i reaches target t
-    strictly".  Equality compares rows, then signatures, and the hash is
-    taken from both.  ``arcs`` is a derived view, sorted by (src, tgt).
+    strictly".  The rows are the only store: the constructor checks each
+    arc's kind and indices and keeps nothing else, and ``arcs`` is decoded
+    from the rows on first read, sorted by (src, tgt).  Equality compares
+    rows, then signatures, and the hash is taken from both.
     """
 
     __slots__ = ("source", "target", "rows", "_arcs")
 
     def __new__(cls, source: FunSig, target: FunSig, arcs: Iterable[Arc]) -> "SizeChangeGraph":
-        arcs = tuple(sorted(arcs, key=lambda a: (a.src, a.tgt)))
-        last = None
+        m, n = source.arity, target.arity
+        rows = [0] * m
         for a in arcs:
-            if not (0 <= a.src < source.arity and 0 <= a.tgt < target.arity):
-                raise ValueError(
-                    f"arc {a.src}->{a.tgt} out of range for {source.name}->{target.name}"
-                )
-            if (a.src, a.tgt) == last:
-                raise ValueError(f"two arcs between parameters {a.src} and {a.tgt}")
-            last = (a.src, a.tgt)
-        g = cls._of_triples(source, target, ((a.src, a.kind is ArcKind.STRICT, a.tgt) for a in arcs))
-        object.__setattr__(g, "_arcs", arcs)  # already the sorted view
-        return g
+            s, t = a.src, a.tgt
+            if not (isinstance(s, int) and isinstance(t, int) and isinstance(a.kind, ArcKind)):
+                raise ValueError(f"malformed arc {a!r}: indices are ints and the kind an ArcKind")
+            if not (0 <= s < m and 0 <= t < n):
+                raise ValueError(f"arc {s}->{t} out of range for {source.name}->{target.name}")
+            if rows[s] >> t & 1:
+                raise ValueError(f"two arcs between parameters {s} and {t}")
+            rows[s] |= (1 | (a.kind is ArcKind.STRICT) << n) << t
+        return cls._of_rows(source, target, tuple(rows))
 
     @classmethod
     def _of_triples(
@@ -107,10 +108,7 @@ class SizeChangeGraph:
         init(g, "rows", rows)
         return g
 
-    def __setattr__(self, name: str, *_: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
+    __setattr__ = __delattr__ = _frozen
 
     def __hash__(self) -> int:
         return hash((self.source, self.target, self.rows))

@@ -11,7 +11,9 @@ call again reuses its value and is charged its fuel again, without being
 entered, so values, OutOfFuel and the fuel left are those of entering every
 call.  The table holds at most one entry per call entered.  Tail calls are
 never kept, as a repeated tail state never returns.  A hooked run, as
-sample_safety makes, reuses nothing and observes every transition.
+sample_safety makes, reuses nothing and shows the hook every transition as
+(site, values, argv), the fields of a Violation; sample_safety returns its
+counts and violations as one frozen SafetyReport.
 
 Each function is compiled on its first entry.  Its else-if chain becomes a
 chain of condition closures over the argument tuple, with parameters resolved
@@ -86,9 +88,8 @@ _VALUE, _TAIL, _CODE = 0, 1, 2
 #   _RETURN    return the one value left
 _PUSH, _PRIM, _CALL_ARGS, _CALL, _TAIL_CALL, _RETURN = range(6)
 
-# the hook's arguments: source signature, its values, the call site's label,
-# target signature and the argument values
-_Hook = Callable[[FunSig, tuple, CallSiteId, FunSig, tuple], None]
+# the hook's arguments, as a Violation holds them: call site (it fixes both signatures), values, argv
+_Hook = Callable[[CallSiteId, tuple, tuple], None]
 
 
 class _Fun:
@@ -331,7 +332,7 @@ def _run(fn: _Fun, args: tuple, fuel: Fuel, hook: Optional[_Hook]) -> int:
                     frames.append((fn, args, code, pc, stack, table, argv, budget))
                     break
             if hook is not None:
-                hook(fn.sig, args, label, callee.sig, argv)
+                hook(label, args, argv)
             if budget <= 0:
                 raise OutOfFuel()
             budget -= 1
@@ -371,19 +372,11 @@ class Violation:
     argv: tuple[int, ...]
 
 
-@mutable_record
+@record
 class SafetyReport:
-    violations: Optional[list[Violation]] = None  # a fresh empty list when omitted
-    converged: int = 0
-    skipped: int = 0
-
-    def __post_init__(self) -> None:
-        if self.violations is None:
-            self.violations = []
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+    violations: tuple[Violation, ...]
+    converged: int
+    skipped: int
 
 
 def sample_safety(
@@ -401,12 +394,11 @@ def sample_safety(
     counted as skipped; their completed transitions are still checked.
     """
     rng = random.Random(seed)
-    report = SafetyReport()
-    violations = report.violations
+    violations: list[Violation] = []
     # (source, target, strict, arc) per arc, per call site, built on its first transition
     checks: dict[CallSiteId, tuple] = {}
 
-    def check(source: FunSig, values: tuple, site: CallSiteId, target: FunSig, argv: tuple) -> None:
+    def check(site: CallSiteId, values: tuple, argv: tuple) -> None:
         arcs = checks.get(site)
         if arcs is None:
             arcs = checks[site] = tuple(
@@ -418,12 +410,13 @@ def sample_safety(
                 violations.append(Violation(site, arc, values, argv))
 
     compiled = _Compiled(program)
+    converged = skipped = 0
     for _ in range(trials):
         d = rng.choice(program.defs)
         values = tuple(rng.randint(0, value_bound) for _ in d.sig.params)
         try:
             _run(compiled.funs[d.sig.name], values, Fuel(fuel), check)
-            report.converged += 1
+            converged += 1
         except OutOfFuel:
-            report.skipped += 1
-    return report
+            skipped += 1
+    return SafetyReport(tuple(violations), converged, skipped)

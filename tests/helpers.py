@@ -345,8 +345,7 @@ REFERENCE_PRIMS = {"plus": operator.add, "times": operator.mul, "max": max, "min
 def hook_transitions(program: Program, fun: str, values: tuple, budget: int) -> list[tuple]:
     """The transitions the compiled walk's hook sees from fun on values, in order.
 
-    Each is (sig, values, label, callee sig, argv); the list stops where the
-    fuel runs out.
+    Each is (label, values, argv); the list stops where the fuel runs out.
     """
     out: list[tuple] = []
     try:
@@ -362,7 +361,7 @@ def reference_run(program: Program, fun: str, values: tuple, fuel: Fuel, on_tran
 
     The plain reference for the compiled interpreter: fuel is spent on every
     call entry, after on_transition has seen the call as the hook's
-    (sig, values, label, callee sig, argv).
+    (label, values, argv).
     """
     defs = {d.sig.name: d for d in program.defs}
 
@@ -375,7 +374,7 @@ def reference_run(program: Program, fun: str, values: tuple, fuel: Fuel, on_tran
         c = d.body
         while isinstance(c, Cases):
             c = next((t for b, t in zip(c.conds, c.thens) if holds(b, env)), c.orelse)
-        return expr(c, env, d.sig, values)
+        return expr(c, env, values)
 
     def holds(b, env) -> bool:
         match b:
@@ -393,7 +392,7 @@ def reference_run(program: Program, fun: str, values: tuple, fuel: Fuel, on_tran
                 return not holds(operand, env)
         raise TypeError(b)
 
-    def expr(e, env, sig, values) -> int:
+    def expr(e, env, values) -> int:
         match e:
             case Var(p):
                 return env[p]
@@ -404,11 +403,11 @@ def reference_run(program: Program, fun: str, values: tuple, fuel: Fuel, on_tran
             case Pred(p):
                 return max(env[p] - 1, 0)
             case PrimOp(op, args):
-                return REFERENCE_PRIMS[op](*[expr(a, env, sig, values) for a in args])
+                return REFERENCE_PRIMS[op](*[expr(a, env, values) for a in args])
             case Call(f, args, label):
-                argv = tuple(expr(a, env, sig, values) for a in args)
+                argv = tuple(expr(a, env, values) for a in args)
                 if on_transition is not None:
-                    on_transition(sig, values, label, defs[f].sig, argv)
+                    on_transition(label, values, argv)
                 return call(f, argv)
         raise TypeError(e)
 
@@ -428,22 +427,22 @@ def reference_trace(program: Program, fun: str, values: tuple, fuel: Fuel) -> li
 def reference_safety(program: Program, description, trials, value_bound, fuel, seed=0) -> SafetyReport:
     """`sample_safety` by `reference_run`: each trial runs, then its transitions are checked."""
     rng = random.Random(seed)
-    report = SafetyReport()
+    violations, converged, skipped = [], 0, 0
     for _ in range(trials):
         d = rng.choice(program.defs)
         values = tuple(rng.randint(0, value_bound) for _ in d.sig.params)
         transitions: list[tuple] = []
         try:
             reference_run(program, d.sig.name, values, Fuel(fuel), lambda *t: transitions.append(t))
-            report.converged += 1
+            converged += 1
         except OutOfFuel:
-            report.skipped += 1
-        for _, source_values, site, _, argv in transitions:
+            skipped += 1
+        for site, source_values, argv in transitions:
             for arc in description[site].arcs:
                 u, v = source_values[arc.src], argv[arc.tgt]
                 if not (u > v if arc.kind is ArcKind.STRICT else u >= v):
-                    report.violations.append(Violation(site, arc, source_values, argv))
-    return report
+                    violations.append(Violation(site, arc, source_values, argv))
+    return SafetyReport(tuple(violations), converged, skipped)
 
 
 def reference_guard_paths(program: Program) -> list[tuple]:

@@ -133,7 +133,7 @@ def test_c5_safety_sampling():
         report = sample_safety(
             program, description, trials=1000, value_bound=3, fuel=10**6, seed=1005
         )
-        assert report.violations == []
+        assert not report.violations
         corrupted = corrupted_ackermann_description()
         bad = sample_safety(
             program, corrupted, trials=1000, value_bound=3, fuel=10**6, seed=1005

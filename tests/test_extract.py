@@ -95,7 +95,7 @@ class TestModes:
             report = sample_safety(
                 program, description, trials=30, value_bound=3, fuel=40, seed=1
             )
-            assert report.ok, f"violations in {description}"
+            assert not report.violations, f"violations in {description}"
 
 
 def assert_matches_guard_paths(program):

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 from functools import reduce
 
 import pytest
@@ -36,6 +37,7 @@ from sct import (
     decide_periodic_descent,
     idempotent_power,
 )
+from sct.jsonio import graph_set_to_json, load_graph_set
 from sct.reduction import spp_reduction_family
 
 def sig(name="f", arity=2):
@@ -186,6 +188,56 @@ class TestConstructor:
                 assert again == g
                 assert hash(again) == hash(g)
                 assert again.arcs == g.arcs
+
+    @pytest.mark.parametrize(
+        "arc",
+        [Arc(0, "strict", 0), Arc(0, None, 1), Arc(0.0, ArcKind.STRICT, 0)],
+        ids=["kind-str", "kind-none", "index-float"],
+    )
+    def test_malformed_arc(self, arc):
+        f = sig("f", 2)
+        with pytest.raises(ValueError, match="^malformed arc " + re.escape(repr(arc))):
+            SizeChangeGraph(f, f, (Arc(1, ArcKind.STRICT, 1), arc))
+
+    def test_every_maker_agrees_with_the_rows(self):
+        """Constructor, from_names, JSON, compose, closure and pickle: arcs are the rows' sorted
+        decode, and equal rows make equal graphs with equal hashes."""
+        rng = random.Random(28)
+        first: dict[tuple, SizeChangeGraph] = {}  # the first graph met per (source, target, rows)
+        made = []
+        for _ in range(150):
+            sigs = random_sigs(rng, 3, 3)
+            graphs = []
+            for _ in range(rng.randint(1, 3)):
+                source, target = rng.choice(sigs), rng.choice(sigs)
+                arcs = [
+                    Arc(s, rng.choice((ArcKind.STRICT, ArcKind.NONSTRICT)), t)
+                    for s in range(source.arity)
+                    for t in range(target.arity)
+                    if rng.random() < 0.5
+                ]
+                rng.shuffle(arcs)
+                g = SizeChangeGraph(source, target, arcs)
+                assert g.arcs == tuple(sorted(arcs, key=lambda a: (a.src, a.tgt)))  # every arc given, sorted
+                names = [(source.params[a.src], a.kind.value, target.params[a.tgt]) for a in arcs]
+                named = SizeChangeGraph.from_names(source, target, names)
+                graphs += [g, named, pickle.loads(pickle.dumps(g))]
+            gs = GraphSet.of(graphs, sigs=sigs)
+            made += graphs + list(load_graph_set(graph_set_to_json(gs)).graphs)
+            made += [compose(g0, g1) for g0 in graphs for g1 in graphs if g0.target == g1.source]
+            made += [dg.graph for dg in closure(gs).elements]
+        for g in made:
+            n = g.target.arity
+            decoded = tuple(
+                Arc(s, ArcKind.STRICT if r >> (t + n) & 1 else ArcKind.NONSTRICT, t)
+                for s, r in enumerate(g.rows)
+                for t in range(n)
+                if r >> t & 1
+            )
+            assert g.arcs == decoded
+            other = first.setdefault((g.source, g.target, g.rows), g)
+            assert g == other and hash(g) == hash(other)
+        assert len(set(made)) == len(first) < len(made)
 
 
 class TestKernel:

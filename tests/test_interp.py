@@ -128,17 +128,15 @@ class TestEval:
 
 
 class TestTrace:
-    """The transitions the compiled walk's hook sees: (sig, values, label, callee sig, argv)."""
+    """The transitions the compiled walk's hook sees: (label, values, argv)."""
 
     def test_first_transition_base_row(self, ackermann):
-        sig = ackermann.defs[0].sig
         trace = hook_transitions(ackermann, "A", (1, 0), 10**6)
-        assert trace[0] == (sig, (1, 0), 0, sig, (0, 1))
+        assert trace[0] == (0, (1, 0), (0, 1))
 
     def test_inner_call_first(self, ackermann):
-        sig = ackermann.defs[0].sig
         trace = hook_transitions(ackermann, "A", (1, 1), 10**6)
-        assert trace[0] == (sig, (1, 1), 2, sig, (1, 0))
+        assert trace[0] == (2, (1, 1), (1, 0))
 
     def test_call_free_branch(self, ackermann):
         assert hook_transitions(ackermann, "A", (0, 5), 10**6) == []
@@ -169,7 +167,7 @@ class TestSafety:
         report = sample_safety(
             ackermann, ack_description, trials=300, value_bound=3, fuel=10**6, seed=5
         )
-        assert report.ok
+        assert not report.violations
         assert report.converged == 300 and report.skipped == 0
 
     def test_corrupted_graph_is_caught(self, ackermann):
@@ -188,13 +186,13 @@ class TestSafety:
         p = parse_program("f(x) = x+1")
         d = extract_description(p, Mode.GUARDED)
         report = sample_safety(p, d, trials=50, value_bound=3, fuel=10, seed=0)
-        assert report.ok and report.converged == 50
+        assert not report.violations and report.converged == 50
 
     def test_divergent_trials_are_skipped_not_failed(self):
         p = parse_program("loop(n) = loop(n+1)")
         d = extract_description(p, Mode.GUARDED)
         report = sample_safety(p, d, trials=20, value_bound=3, fuel=30, seed=0)
-        assert report.skipped == 20 and report.ok
+        assert report.skipped == 20 and not report.violations
 
 
 # --- the compiled interpreter against the tree-walking reference ----------------

@@ -57,6 +57,29 @@ def test_only_graphs_builds_arcs():
     assert callers == {"graphs.py"}  # the walk finds real calls
 
 
+def stores_of(node, name, scope=()):
+    """The scopes (class and function names) that assign attribute name, by statement or by a call
+    such as ``object.__setattr__(g, name, value)`` that takes the name as a string."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+        scope += (node.name,)
+    if isinstance(node, ast.Attribute) and node.attr == name and not isinstance(node.ctx, ast.Load):
+        yield scope
+    if isinstance(node, ast.Call) and any(isinstance(a, ast.Constant) and a.value == name for a in node.args):
+        yield scope
+    for child in ast.iter_child_nodes(node):
+        yield from stores_of(child, name, scope)
+
+
+def test_rows_are_the_only_store_of_arcs():
+    """``_arcs`` caches the decode of the rows: only the ``arcs`` view assigns it."""
+    found = {
+        (path.name, scope)
+        for path in Path(sct.__file__).parent.rglob("*.py")
+        for scope in stores_of(ast.parse(path.read_text(encoding="utf-8")), "_arcs")
+    }
+    assert found == {("graphs.py", ("SizeChangeGraph", "arcs"))}  # the walk finds the real store
+
+
 def test_no_assert_statement():
     """Checks are explicit, so that ``python -O`` keeps them."""
     scripts = Path(__file__).resolve().parent.parent / "scripts"
@@ -181,7 +204,7 @@ SAMPLES = {
     graphs.Verdict: (False, None, LASSO),
     interp.Fuel: (7,),
     interp.Violation: (0, Arc(0, ArcKind.STRICT, 0), (2, 1), (1, 1)),
-    interp.SafetyReport: ([], 3, 1),
+    interp.SafetyReport: ((), 3, 1),
     oracle.OracleReport: (LASSO, 4, 10),
     parser.Diagnostic: ("unknown parameter 'z'", 1, 9),
     reduction.ReversalRun: (LASSO, GS),
@@ -190,7 +213,7 @@ SAMPLES = {
     colorings.StarWitness: (0, 1, ((1, 2),)),
     extract.Description: ((GRAPH,),),
 }
-MUTABLE = {interp.Fuel, interp.SafetyReport, colorings.PairColoring}
+MUTABLE = {interp.Fuel, colorings.PairColoring}
 
 
 def record_classes():
