@@ -5,15 +5,30 @@ so a fuel budget bounds the number of state transitions.  It is the only
 bound: calls run on an explicit list of frames, not on Python's stack.  x-1
 is monus: 0-1 = 0.
 
-A run without a hook keeps, for its own length, the value and the fuel of
-each non-tail call that returned after costing more than one entry.  The same
-call again reuses its value and is charged its fuel again, without being
-entered, so values, OutOfFuel and the fuel left are those of entering every
-call.  The table holds at most one entry per call entered.  Tail calls are
-never kept, as a repeated tail state never returns.  A hooked run, as
-sample_safety makes, reuses nothing and shows the hook every transition as
-(site, values, argv), the fields of a Violation; sample_safety returns its
-counts and violations as one frozen SafetyReport.
+A run keeps, for its own length, the value and the fuel of each non-tail
+call that returned after costing more than one entry.  The same call again
+reuses its value and is charged its fuel again, without being entered, so
+values, OutOfFuel and the fuel left are those of entering every call.  When
+the fuel left is less than the cost, a run without a hook takes it all and
+raises OutOfFuel, and a hooked run enters the call, so that it runs out where
+entering every call does.  Tail calls are never kept, as a repeated tail
+state never returns.
+
+sample_safety's hook checks each transition (site, values, argv), the fields
+of a Violation, and appends what it breaks to one list, its log.  Its trials
+share one _Watch, which lasts the call.  There a returned call also keeps the
+log slice its subtree appended, which each reuse appends again.  And each
+state entered with no frame pending, (function, arguments), has one record:
+its position in the log, the budget at its entry, and how its future ends,
+in a returned value, out of fuel, or a link to another recorded state, which
+covers loops.  Entering a recorded state appends the recorded slices and
+charges their cost instead of interpreting, as far as the budget reaches (a
+loop by divmod, not turn by turn), and then interprets on from the furthest
+recorded state that fits.  So violations, their order, the counts and every
+Fuel reading are those of entering every call.  A _Watch keeps at most one
+record per state entered with no frame pending and one kept call per call
+entered, so at most trials x fuel of each.  sample_safety returns its counts
+and violations as one frozen SafetyReport.
 
 Each function is compiled on its first entry.  Its else-if chain becomes a
 chain of condition closures over the argument tuple, with parameters resolved
@@ -29,6 +44,7 @@ to indices, that selects a leaf:
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections import defaultdict
 from operator import add, itemgetter, mul
 from typing import Callable, Optional, Union
@@ -252,93 +268,205 @@ class _Compiled:
         raise TypeError(e)
 
 
-def _run(fn: _Fun, args: tuple, fuel: Fuel, hook: Optional[_Hook]) -> int:
+class _Watch:
+    """What a hooked run keeps, and hands on to the next run it watches.
+
+    ``log`` is the list the hook appends to.  ``done`` holds each returned
+    non-tail call as (value, cost, start, stop): the log slice its subtree
+    appended.  A state entered with no frame pending is (function,
+    arguments); ``states`` maps each to its entry's position in ``trail``,
+    a flat list of (function, arguments, budget, mark): the budget at its
+    entry and the log's length there.  The states a run enters one after
+    another are consecutive entries, a path; ``stops`` holds where each path
+    ends and ``ends`` how: (budget, mark, value, link) where it returned
+    value, ran out of fuel (value and link None) or went on into the entry
+    at link.  ``start`` is where the open path begins, or None.
+    """
+
+    __slots__ = ("hook", "log", "done", "states", "trail", "stops", "ends", "start")
+
+    def __init__(self, hook: _Hook, log: list) -> None:
+        self.hook, self.log = hook, log
+        self.done: defaultdict[_Fun, dict[tuple, tuple]] = defaultdict(dict)
+        self.states: defaultdict[_Fun, dict[tuple, int]] = defaultdict(dict)
+        self.trail: list = []
+        self.stops: list[int] = []
+        self.ends: list[tuple] = []
+        self.start: Optional[int] = None
+
+    def seal(self, budget: int, value: Optional[int], link: Optional[int]) -> None:
+        """End the open path here, if it holds a state."""
+        if self.start is not None and len(self.trail) > self.start:
+            self.stops.append(len(self.trail))
+            self.ends.append((budget, len(self.log), value, link))
+        self.start = None
+
+    def replay(self, i: int, budget: int) -> tuple:
+        """Run the known future of the entry at i, as far as budget reaches.
+
+        Appends its log slices and returns (value, budget left, None, None)
+        when it returns, (None, 0, None, None) when it runs out of fuel, or
+        else (None, budget left, function, arguments) of the entry to go on
+        interpreting from.  A loop is gone round by divmod.
+        """
+        trail, log, ends = self.trail, self.log, self.ends
+        met: dict[int, tuple[int, int]] = {}
+        while True:
+            if i in met:  # a loop: as many more whole laps as the budget pays for
+                before, start = met[i]
+                laps, budget = divmod(budget, before - budget)
+                log += log[start:] * laps
+                met.clear()
+            met[i] = budget, len(log)
+            p = bisect_right(self.stops, i)
+            at, mark = trail[i + 2], trail[i + 3]
+            end_budget, end_mark, value, link = ends[p]
+            cost = at - end_budget
+            # the whole path fits: it returns, leads on, or runs out where it ran out before
+            if cost < budget and (value is not None or link is not None) or cost == budget:
+                log += log[mark:end_mark]
+                budget -= cost
+                if link is None:
+                    return value, budget, None, None
+                i = link
+                continue
+            # the furthest entry the budget reaches; budgets fall along a path
+            lo, hi = i, self.stops[p]
+            while hi - lo > 4:
+                mid = lo + (hi - lo) // 8 * 4
+                if at - trail[mid + 2] <= budget:
+                    lo = mid
+                else:
+                    hi = mid
+            fn, args, now, to = trail[lo:lo + 4]
+            log += log[mark:to]
+            self.start = len(trail)
+            if cost < budget:
+                # past where the path ran out of fuel: its last state goes on
+                # the new path, which the old one now leads into at no cost
+                ends[p] = now, to, None, len(trail)
+                trail += fn, args, budget - (at - now), len(log)
+            return None, budget - (at - now), fn, args
+
+
+def _run(fn: _Fun, args: tuple, fuel: Fuel, watch: Optional[_Watch]) -> int:
     """Enter fn on args and run until it returns.
 
     A frame is (function, arguments, code, next instruction, value stack,
-    then the callee's table, the call's arguments and the budget before the
-    call).  Fuel is charged on every entry, after the hook has seen the
-    transition.  Without a hook, a saved call that returns after costing
-    more than one entry goes into its callee's table; the same call again
-    pushes the value and is charged the cost, or takes the budget left and
-    raises OutOfFuel when the cost is more.
+    then the callee's table, the call's arguments, the budget before the
+    call and the log's length after its transition).  Fuel is charged on
+    every entry, after the hook has seen the transition.  A saved call that
+    returns after costing more than one entry goes into its callee's table;
+    the same call again pushes the value and is charged the cost, and a
+    hooked run appends its log slice again.  When the cost is more than the
+    budget left, an unhooked run takes the budget and raises OutOfFuel, and
+    a hooked run enters the call.  A hooked run records each state it enters
+    with no frame pending, and runs the known future of one it has recorded
+    before (``_Watch.replay``).
     """
     budget = fuel.budget
     frames: list[tuple] = []
-    # callee -> arguments -> (value, cost) for this run; a hooked run neither keeps nor reads one
-    done: defaultdict[_Fun, dict[tuple, tuple[int, int]]] = defaultdict(dict)
-    keep, table = hook is None, None
+    if watch is None:
+        hook = states = None
+        # callee -> arguments -> (value, cost, start, stop) for this run
+        done: defaultdict[_Fun, dict[tuple, tuple]] = defaultdict(dict)
+        log: list = []
+    else:
+        hook, log, done, states, trail = watch.hook, watch.log, watch.done, watch.states, watch.trail
+        watch.start = len(trail)
+    callee, argv, value = fn, args, None
     try:
-        if budget <= 0:
-            raise OutOfFuel()
-        budget -= 1
         while True:
+            if states is not None and not frames:
+                # a state entered with no frame pending: record it, or run its known future
+                n = len(trail)
+                known = states[callee].setdefault(argv, n)
+                if known == n:
+                    trail += callee, argv, budget, len(log)
+                else:
+                    watch.seal(budget, None, known)
+                    value, budget, callee, argv = watch.replay(known, budget)
+                    if callee is None:
+                        if value is None:
+                            raise OutOfFuel()
+                        return value
+            if budget <= 0:
+                raise OutOfFuel()
+            budget -= 1
+            fn, args = callee, argv
             leaf = fn.select(args)
             kind = leaf[0]
             if kind == _TAIL:
                 _, argf, label, callee = leaf
                 argv = argf(args)
+                if hook is not None:
+                    hook(label, args, argv)
+                continue
+            if kind == _VALUE:
+                value = leaf[1](args)
+                if not frames:
+                    return value
+                fn, args, code, pc, stack, table, called, before, mark = frames.pop()
+                if before - budget > 1:
+                    table[called] = value, before - budget, mark, len(log)
+                stack.append(value)
             else:
-                if kind == _VALUE:
-                    value = leaf[1](args)
+                code, pc, stack = leaf[1], 0, []
+            while True:
+                op, x, label, k = code[pc]
+                pc += 1
+                if op == _PUSH:
+                    stack.append(x(args))
+                    continue
+                if op == _CALL_ARGS:
+                    argv = k(args)
+                elif op == _CALL:
+                    argv = tuple(stack[-k:])
+                    del stack[-k:]
+                elif op == _TAIL_CALL:
+                    callee, argv = x, tuple(stack)
+                    if hook is not None:
+                        hook(label, args, argv)
+                    break
+                elif op == _PRIM:
+                    right = stack.pop()
+                    stack[-1] = x(stack[-1], right)
+                    continue
+                else:  # _RETURN
+                    value = stack[0]
                     if not frames:
                         return value
-                    fn, args, code, pc, stack, table, called, before = frames.pop()
-                    if keep and before - budget > 1:
-                        table[called] = value, before - budget
+                    fn, args, code, pc, stack, table, called, before, mark = frames.pop()
+                    if before - budget > 1:
+                        table[called] = value, before - budget, mark, len(log)
                     stack.append(value)
-                else:
-                    code, pc, stack = leaf[1], 0, []
-                while True:
-                    op, x, label, k = code[pc]
-                    pc += 1
-                    if op == _PUSH:
-                        stack.append(x(args))
-                        continue
-                    if op == _CALL_ARGS:
-                        argv = k(args)
-                    elif op == _CALL:
-                        argv = tuple(stack[-k:])
-                        del stack[-k:]
-                    elif op == _TAIL_CALL:
-                        callee, argv = x, tuple(stack)
-                        break
-                    elif op == _PRIM:
-                        right = stack.pop()
-                        stack[-1] = x(stack[-1], right)
-                        continue
-                    else:  # _RETURN
-                        value = stack[0]
-                        if not frames:
-                            return value
-                        fn, args, code, pc, stack, table, called, before = frames.pop()
-                        if keep and before - budget > 1:
-                            table[called] = value, before - budget
+                    continue
+                # a call that saves the frame, unless it has returned before
+                if hook is not None:
+                    hook(label, args, argv)
+                table = done[x]
+                found = table.get(argv)
+                if found is not None:
+                    value, cost, start, stop = found
+                    if cost <= budget:
+                        budget -= cost
+                        if start < stop:
+                            log += log[start:stop]
                         stack.append(value)
                         continue
-                    # a call that saves the frame, unless it has returned before
-                    if keep:
-                        table = done[x]
-                        found = table.get(argv)
-                        if found is not None:
-                            value, cost = found
-                            if cost > budget:
-                                budget = 0
-                                raise OutOfFuel()
-                            budget -= cost
-                            stack.append(value)
-                            continue
-                    callee = x
-                    frames.append((fn, args, code, pc, stack, table, argv, budget))
-                    break
-            if hook is not None:
-                hook(label, args, argv)
-            if budget <= 0:
-                raise OutOfFuel()
-            budget -= 1
-            fn, args = callee, argv
+                    if hook is None:
+                        budget = 0
+                        raise OutOfFuel()
+                callee = x
+                frames.append((fn, args, code, pc, stack, table, argv, budget, len(log)))
+                break
+    except OutOfFuel:
+        value = None
+        raise
     finally:
         fuel.budget = budget
+        if watch is not None:
+            watch.seal(budget, value, None)
 
 
 def eval_program(
@@ -393,6 +521,10 @@ def sample_safety(
     description assigns to its call site.  Trials that run out of fuel are
     counted as skipped; their completed transitions are still checked.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+    if value_bound < 0:
+        raise ValueError(f"value_bound must be >= 0, got {value_bound}")
     rng = random.Random(seed)
     violations: list[Violation] = []
     # (source, target, strict, arc) per arc, per call site, built on its first transition
@@ -409,13 +541,18 @@ def sample_safety(
             if u < v or strict and u == v:
                 violations.append(Violation(site, arc, values, argv))
 
-    compiled = _Compiled(program)
+    funs = _Compiled(program).funs
+    starts = [(funs[d.sig.name], d.sig.params) for d in program.defs]
+    watch = _Watch(check, violations)
     converged = skipped = 0
+    left = Fuel(fuel)
     for _ in range(trials):
-        d = rng.choice(program.defs)
-        values = tuple(rng.randint(0, value_bound) for _ in d.sig.params)
+        fn, params = rng.choice(starts)
+        # the draws of randint(0, value_bound), without its extra call
+        values = tuple([rng.randrange(value_bound + 1) for _ in params])
+        left.budget = fuel
         try:
-            _run(compiled.funs[d.sig.name], values, Fuel(fuel), check)
+            _run(fn, values, left, watch)
             converged += 1
         except OutOfFuel:
             skipped += 1

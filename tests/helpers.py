@@ -343,14 +343,15 @@ REFERENCE_PRIMS = {"plus": operator.add, "times": operator.mul, "max": max, "min
 
 
 def hook_transitions(program: Program, fun: str, values: tuple, budget: int) -> list[tuple]:
-    """The transitions the compiled walk's hook sees from fun on values, in order.
+    """The transitions a watched compiled run logs from fun on values, in order.
 
-    Each is (label, values, argv); the list stops where the fuel runs out.
+    Each is (label, values, argv), seen by the hook or appended again from a
+    reused call's slice; the list stops where the fuel runs out.
     """
     out: list[tuple] = []
     try:
         fn = interp._Compiled(program).enter(fun, values)
-        interp._run(fn, values, Fuel(budget), lambda *t: out.append(t))
+        interp._run(fn, values, Fuel(budget), interp._Watch(lambda *t: out.append(t), out))
     except OutOfFuel:
         pass
     return out
@@ -424,19 +425,29 @@ def reference_trace(program: Program, fun: str, values: tuple, fuel: Fuel) -> li
     return out
 
 
-def reference_safety(program: Program, description, trials, value_bound, fuel, seed=0) -> SafetyReport:
-    """`sample_safety` by `reference_run`: each trial runs, then its transitions are checked."""
+def reference_safety(program: Program, description, trials, value_bound, fuel, seed=0, runs=None) -> SafetyReport:
+    """`sample_safety` by `reference_run`: each trial runs, then its transitions are checked.
+
+    ``runs``, when given, is a dict that keeps each run's (transitions,
+    converged) by (function, values, fuel), for calls on one program.
+    """
     rng = random.Random(seed)
+    runs = {} if runs is None else runs
     violations, converged, skipped = [], 0, 0
     for _ in range(trials):
         d = rng.choice(program.defs)
         values = tuple(rng.randint(0, value_bound) for _ in d.sig.params)
-        transitions: list[tuple] = []
-        try:
-            reference_run(program, d.sig.name, values, Fuel(fuel), lambda *t: transitions.append(t))
-            converged += 1
-        except OutOfFuel:
-            skipped += 1
+        key = d.sig.name, values, fuel
+        if key not in runs:
+            transitions: list[tuple] = []
+            try:
+                reference_run(program, d.sig.name, values, Fuel(fuel), lambda *t: transitions.append(t))
+                runs[key] = transitions, True
+            except OutOfFuel:
+                runs[key] = transitions, False
+        transitions, returned = runs[key]
+        converged += returned
+        skipped += not returned
         for site, source_values, argv in transitions:
             for arc in description[site].arcs:
                 u, v = source_values[arc.src], argv[arc.tgt]
@@ -551,6 +562,15 @@ def reference_lex(text: str) -> list[tuple[str, str, int, int]]:
         i = j
     tokens.append(("eof", "", line, col))
     return tokens
+
+
+def shrinking_description(program: Program) -> Description:
+    """A description that claims every call shrinks each parameter it keeps in place."""
+    sites = []
+    for g in extract_description(program, Mode.SYNTACTIC).sites:
+        n = min(g.source.arity, g.target.arity)
+        sites.append(SizeChangeGraph(g.source, g.target, tuple(Arc(j, ArcKind.STRICT, j) for j in range(n))))
+    return Description(tuple(sites))
 
 
 def corrupted_ackermann_description() -> Description:

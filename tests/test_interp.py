@@ -14,6 +14,7 @@ from helpers import (
     reference_run,
     reference_safety,
     reference_trace,
+    shrinking_description,
 )
 from sct import (
     Arc,
@@ -188,6 +189,18 @@ class TestSafety:
         report = sample_safety(p, d, trials=50, value_bound=3, fuel=10, seed=0)
         assert not report.violations and report.converged == 50
 
+    def test_negative_value_bound(self, ackermann, ack_description):
+        with pytest.raises(ValueError, match="value_bound must be >= 0, got -1"):
+            sample_safety(ackermann, ack_description, trials=3, value_bound=-1, fuel=10)
+
+    def test_negative_trials(self, ackermann, ack_description):
+        with pytest.raises(ValueError, match="trials must be >= 0, got -2"):
+            sample_safety(ackermann, ack_description, trials=-2, value_bound=3, fuel=10)
+
+    def test_no_trials(self, ackermann, ack_description):
+        report = sample_safety(ackermann, ack_description, trials=0, value_bound=0, fuel=0)
+        assert report == interp.SafetyReport((), 0, 0)
+
     def test_divergent_trials_are_skipped_not_failed(self):
         p = parse_program("loop(n) = loop(n+1)")
         d = extract_description(p, Mode.GUARDED)
@@ -282,12 +295,34 @@ class TestAgainstReference:
                 args = (program, description, 12, 4, fuel, seed)
                 assert sample_safety(*args) == reference_safety(*args)
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_safety_records_on_synthesized_programs(self, seed):
+        # forty trials share one call's records; value bound seed % 5 makes states repeat
+        program = synthesized(seed)
+        runs = {}
+        with recursion_limit(20_000):
+            for mode in Mode:
+                description = extract_description(program, mode)
+                for fuel in (0, 1, 2, 3, 40, 1000):
+                    args = (program, description, 40, seed % 5, fuel, seed)
+                    assert sample_safety(*args) == reference_safety(*args, runs=runs)
+
     @pytest.mark.parametrize("text", HAND_WRITTEN)
     def test_safety_on_hand_written_programs(self, text):
         program = parse_program(text)
         for mode in Mode:
             args = (program, extract_description(program, mode), 30, 4, 150, 1)
             assert sample_safety(*args) == reference_safety(*args)
+
+    def test_safety_records_on_corrupted_ackermann(self, ackermann):
+        # the bogus arc is broken inside returned calls, so their replayed slices are not empty
+        description, runs = corrupted_ackermann_description(), {}
+        for seed in range(4):
+            for fuel in (5, 50, 500, 10**4):
+                args = (ackermann, description, 40, 3, fuel, seed)
+                report = sample_safety(*args)
+                assert report == reference_safety(*args, runs=runs)
+                assert report.violations
 
     def test_safety_on_ackermann(self, ackermann, ack_description):
         for description in (ack_description, corrupted_ackermann_description()):
@@ -373,13 +408,13 @@ def count_entries(compiled):
     return count
 
 
-def counted_run(program, fun, values, budget, hook=None):
+def counted_run(program, fun, values, budget, watch=None):
     """(value or "out of fuel", fuel left, calls entered) of one compiled run."""
     compiled = interp._Compiled(program)
     entries = count_entries(compiled)
     fuel = Fuel(budget)
     try:
-        outcome = interp._run(compiled.enter(fun, values), values, fuel, hook)
+        outcome = interp._run(compiled.enter(fun, values), values, fuel, watch)
     except OutOfFuel:
         outcome = "out of fuel"
     return outcome, fuel.budget, entries[0]
@@ -392,10 +427,12 @@ def has_non_tail_call(c) -> bool:
 
 
 class TestReuse:
-    """A returned non-tail call is reused in unhooked runs, with its fuel charged again.
+    """A returned non-tail call is reused, with its fuel charged again.
 
-    Hooked runs reuse nothing: TestAgainstReference compares their
-    transitions, and sample_safety on Ackermann, with the reference's.
+    A hooked run also appends the log slice the call's subtree appended, and
+    enters the call when its cost is more than the budget left:
+    TestAgainstReference and TestRecord compare its transitions, and
+    sample_safety's reports, with the reference's.
     """
 
     @pytest.mark.parametrize("m", range(4))
@@ -429,6 +466,11 @@ class TestReuse:
         # at 62, 30 is left for the repeat of d(4): the charge takes it all
         assert counted_run(program, "d", (5,), 62) == ("out of fuel", 0, 7)
         assert reference_outcome(program, "d", (5,), 62) == ("out of fuel", 0)
+        # a hooked run enters that repeat, so it logs the transitions the reference makes
+        log = []
+        outcome, left, entries = counted_run(program, "d", (5,), 62, interp._Watch(lambda *t: log.append(t), log))
+        assert (outcome, left) == ("out of fuel", 0) and entries > 7
+        assert log == reference_trace(program, "d", (5,), Fuel(62))
 
     def test_far_fewer_entries_than_charges(self, ackermann):
         value, left, entries = counted_run(ackermann, "A", (2, 30), 10**6)
@@ -436,13 +478,14 @@ class TestReuse:
         assert 10**6 - left == 2 * 30**2 + 7 * 30 + 5
         assert entries * 5 < 10**6 - left  # 215 entries for 2,015 charges
 
-    def test_hooked_run_enters_every_call(self, ackermann):
-        fuel = Fuel(10**6)
-        eval_program(ackermann, "A", (2, 3), fuel)
-        spent = 10**6 - fuel.budget
-        # one transition per entry after the first
-        assert len(hook_transitions(ackermann, "A", (2, 3), 10**6)) == spent - 1
-        assert counted_run(ackermann, "A", (2, 3), 10**6, lambda *t: None) == (9, fuel.budget, spent)
+    def test_hooked_run_logs_every_call(self, ackermann):
+        # one transition per charge after the first, though repeats are not entered
+        log = []
+        watch = interp._Watch(lambda *t: log.append(t), log)
+        value, left, entries = counted_run(ackermann, "A", (2, 30), 10**6, watch)
+        assert (value, left, entries) == counted_run(ackermann, "A", (2, 30), 10**6)
+        assert log == reference_trace(ackermann, "A", (2, 30), Fuel(10**6))
+        assert len(log) == 10**6 - left - 1 and entries * 5 < len(log)  # 215 entries, 2,014 transitions
 
     def test_no_table_outlives_its_run(self):
         compiled = interp._Compiled(parse_program(REPEATING["d"]))
@@ -450,3 +493,123 @@ class TestReuse:
         for runs in (1, 2):
             assert interp._run(compiled.enter("d", (5,)), (5,), Fuel(63), None) == 32
             assert entries[0] == 7 * runs
+
+
+# --- records of states' futures, shared by the runs of one _Watch -----------------
+
+RECORDED = {
+    # returns
+    "count": "c(x) = if x=0 then 7 else c(x-1)",
+    # a tail self-loop of period 4
+    "cycle": "l(n) = if n=3 then l(0) else l(n+1)",
+    # a two-function loop of six states and nine charges whose steps make nested
+    # calls, as h(x) = x
+    "pair": "p(x) = if x=2 then q(0) else q(plus(h(x), 1))\nq(x) = p(x)\n"
+            "h(x) = if x=0 then 0 else plus(h(x-1), 1)",
+    # values that grow: no state repeats
+    "grow": "g(x, y) = g(y, x+1)",
+    # a non-tail recursion that never returns: d(0) is the only state entered with no frame pending
+    "deep": "d(x) = plus(d(x+1), 1)",
+}
+
+
+def watched_runs(program, starts):
+    """(outcome, fuel left, transitions) of each (function, values, budget), run in order
+    through one _Watch whose hook logs every transition; and the calls entered."""
+    compiled = interp._Compiled(program)
+    entries = count_entries(compiled)
+    log = []
+    watch = interp._Watch(lambda *t: log.append(t), log)
+    out = []
+    for fun, values, budget in starts:
+        fuel, mark = Fuel(budget), len(log)
+        try:
+            outcome = interp._run(compiled.enter(fun, values), values, fuel, watch)
+        except OutOfFuel:
+            outcome = "out of fuel"
+        out.append((outcome, fuel.budget, log[mark:]))
+    return out, entries[0]
+
+
+def reference_runs(program, starts):
+    """``watched_runs`` by ``reference_run``, one run at a time."""
+    out = []
+    with recursion_limit(20_000):
+        for fun, values, budget in starts:
+            fuel, trace = Fuel(budget), []
+            try:
+                outcome = reference_run(program, fun, values, fuel, lambda *t: trace.append(t))
+            except OutOfFuel:
+                outcome = "out of fuel"
+            out.append((outcome, fuel.budget, trace))
+    return out
+
+
+class TestRecord:
+    """Runs that share a _Watch: outcomes, fuel left and every transition as the reference's."""
+
+    @staticmethod
+    def assert_same(name, starts):
+        program = parse_program(RECORDED[name])
+        runs, entries = watched_runs(program, starts)
+        assert runs == reference_runs(program, starts)
+        return entries
+
+    def test_returned_value(self):
+        # c(8) enters c(8), c(7), c(6) and runs c(5)'s record; c(8) again runs c(8)'s,
+        # to its end at budget 9 and short of it at 8; c(3) stops inside c(5)'s
+        starts = [("c", (5,), 100), ("c", (8,), 100), ("c", (8,), 9), ("c", (8,), 8),
+                  ("c", (3,), 2), ("c", (9,), 100), ("c", (2,), 0)]
+        assert self.assert_same("count", starts) == 6 + 3 + 1
+
+    def test_resume_past_out_of_fuel(self):
+        # c(9) runs out entering c(5); c(7) reaches c(5) with budget left and
+        # interprets on; the last two stop inside the record c(7) left
+        starts = [("c", (9,), 4), ("c", (7,), 50), ("c", (9,), 6), ("c", (9,), 4), ("c", (6,), 3)]
+        assert self.assert_same("count", starts) == 4 + 6
+
+    def test_repeated_run_out_of_fuel(self):
+        # the same budget again runs out where the record did, entering nothing; less
+        # enters every call again, and more resumes at d(0)
+        starts = [("d", (0,), 500)] * 3 + [("d", (0,), 499), ("d", (0,), 501), ("d", (0,), 501)]
+        assert self.assert_same("deep", starts) == 500 + 499 + 501
+
+    @pytest.mark.parametrize("budgets", [range(1, 14), (1001, 1003, 1002, 14, 3)])
+    def test_tail_loop(self, budgets):
+        starts = [("l", (n % 4,), b) for n, b in enumerate(budgets)]
+        assert self.assert_same("cycle", starts) <= 8
+
+    @pytest.mark.parametrize("budgets", [range(1, 24), (1000, 1001, 1006, 23, 2)])
+    def test_two_function_loop_with_nested_calls(self, budgets):
+        starts = [(f, (x,), b) for b in budgets for f, x in (("p", 0), ("q", 2), ("h", 3), ("p", 1))]
+        self.assert_same("pair", starts)
+
+    def test_growing_values(self):
+        starts = [("g", (0, 0), 300), ("g", (5, 0), 300), ("g", (0, 0), 301), ("g", (0, 0), 299)]
+        # the two first runs repeat no state, so they enter every call they are charged
+        assert self.assert_same("grow", starts) == 300 + 300 + 1
+
+    def test_looping_trial_enters_far_fewer_calls_than_charges(self):
+        # l(0) enters its first lap, four calls; the rest is charged by divmod
+        log = []
+        watch = interp._Watch(lambda *t: log.append(t), log)
+        budget = 10**5 + 3
+        outcome, left, entries = counted_run(parse_program(RECORDED["cycle"]), "l", (0,), budget, watch)
+        assert (outcome, left, len(log)) == ("out of fuel", 0, budget)
+        assert log[:8] == [(1, (0,), (1,)), (1, (1,), (2,)), (1, (2,), (3,)), (0, (3,), (0,))] * 2
+        assert entries * 10**4 < budget
+
+    @pytest.mark.parametrize("name", sorted(RECORDED))
+    def test_safety(self, name):
+        program = parse_program(RECORDED[name])
+        runs, violations = {}, 0
+        with recursion_limit(20_000):
+            for description in (extract_description(program, Mode.GUARDED), shrinking_description(program)):
+                for fuel in (0, 1, 2, 5, 7, 13, 100, 1001):
+                    for seed in range(3):
+                        args = (program, description, 20, 3, fuel, seed)
+                        report = sample_safety(*args)
+                        assert report == reference_safety(*args, runs=runs)
+                        violations += len(report.violations)
+        # c(x) calls c(x-1), so only the other programs break the shrinking description
+        assert (violations > 0) == (name != "count")
